@@ -163,9 +163,10 @@ std::unique_ptr<Executor> MakeExecutor(const ExecOptions& opts) {
   // reaches, regardless of the backend the flags name — the flags are the
   // parent's argv, echoed back at us.
   if (g_worker_mode) return MakeWorkerServer(opts);
-  if (opts.backend == Backend::kProcs) return MakeProcessExecutor(opts);
-  if (opts.backend == Backend::kNet) return MakeNetExecutor(opts);
-  return std::make_unique<ThreadExecutor>(opts);
+  if (opts.backend == Backend::kThreads) {
+    return std::make_unique<ThreadExecutor>(opts);
+  }
+  return MakeFramedDriver(opts);
 }
 
 }  // namespace disco::exec

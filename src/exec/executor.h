@@ -8,22 +8,19 @@
 // caller's output is byte-identical no matter which backend executed it:
 //
 //   kThreads  in-process, over the runtime ThreadPool (parallel_for.h).
-//   kProcs    a process pool: the current binary is re-invoked with
-//             --worker=<job> appended to its own argv, task frames are
-//             streamed to workers over pipes, and result frames stream
-//             back. Failed tasks are retried on surviving workers (a
-//             SIGKILLed worker's in-flight task is rescheduled), and
-//             tasks still running past a deadline are speculatively
-//             re-dispatched to idle workers — first result wins.
-//   kNet      a TCP cluster: the driver (coordinator) connects to
-//             disco_workerd daemons named by ExecOptions::hosts, asks
-//             each to spawn the same --worker=<job> re-invocation the
-//             procs backend forks locally, and streams the same frames
-//             over the sockets. A lost connection charges the in-flight
-//             task and is retried elsewhere while the coordinator
-//             reconnects with bounded exponential backoff; retry budgets
-//             and straggler duplication are the shared TaskScheduler's
-//             (task_scheduler.h), identical to kProcs.
+//   kProcs    worker processes: the current binary re-invoked with
+//             --worker=<job> appended to its own argv, over pipes.
+//   kNet      disco_workerd daemons named by ExecOptions::hosts, each
+//             asked over TCP to spawn that same re-invocation on its host.
+//
+// kProcs and kNet are one framed-worker driver (driver.cpp) with two
+// connectors: it streams task frames to workers and result frames back,
+// retries failed tasks on surviving workers (a SIGKILLed worker's
+// in-flight task is rescheduled), and speculatively re-dispatches tasks
+// still running past a deadline to idle workers — first result wins.
+// Retry budgets and straggler duplication are the shared TaskScheduler's
+// (task_scheduler.h). Only kNet reconnects a lost worker slot, with
+// bounded exponential backoff.
 //
 // The worker contract: a worker process parses the same argv as its
 // parent, follows the same code path, and therefore reaches the same
@@ -40,30 +37,19 @@
 // construction, which is how paper-scale sweeps avoid per-worker
 // Dijkstra storms.
 //
-// Worker wire protocol — one versioned binary framing (exec/wire.h,
-// magic "DWX1": 4-byte magic, 1-byte type, u64 index, u64 length,
-// payload) for every transport. It replaced the original "T/R/E"
-// text-line protocol: text parsing meant a malformed request was echoed
-// back through strtoull garbage and charged to whatever task the bytes
-// happened to name.
-//   driver -> worker (stdin / TCP):  kTask('T') index        run a task
-//                                    EOF / close             exit cleanly
-//   worker -> driver (fd 3 / TCP):   kResult('R') index + payload bytes
-//                                    kTaskError('E') index + message —
-//                                      charges one retry to that task
-//                                    kProtocolError('B') + message — the
-//                                      request stream itself was bad;
-//                                      attributable to no task, it fails
-//                                      the whole run
-//   coordinator <-> daemon only:     kHello('H') index=protocol version,
-//                                      daemon -> coordinator on accept
-//                                    kSpawn('S') + argv/env payload,
-//                                      coordinator -> daemon: fork/exec
-//                                      the worker behind this connection
-// Worker stdout is redirected to /dev/null (stray prints can't corrupt
-// the frame stream); stderr is inherited for diagnostics. Under kNet the
-// daemon relays worker frames to the coordinator byte-for-byte — the
-// shared framing is what makes the daemon a pure byte pump.
+// Worker wire protocol — one versioned binary framing for every
+// transport (exec/wire.h documents the layout and each frame type). It
+// replaced the original "T/R/E" text-line protocol: text parsing meant a
+// malformed request was echoed back through strtoull garbage and charged
+// to whatever task the bytes happened to name. The driver sends kTask
+// frames to the worker's stdin and closes it to end the run; the worker
+// answers on fd 3 with kResult, kTaskError (charges one retry to that
+// task) or kProtocolError (the request stream itself was bad: it fails
+// the whole run). Worker stdout is redirected to /dev/null (stray prints
+// can't corrupt the frame stream); stderr is inherited for diagnostics.
+// Under kNet the daemon first answers kHello and execs the kSpawn argv,
+// then relays worker frames to the coordinator byte-for-byte — the shared
+// framing is what makes the daemon a pure byte pump.
 //
 // Env knobs (read when the matching ExecOptions field is left at -1):
 //   DISCO_EXEC_RETRIES       re-runs allowed per task after its first
@@ -81,7 +67,7 @@
 //                                  is abandoned (default 5)
 // All knobs are clamp-checked like Args::Parse numerics: garbage or
 // out-of-int-range values fall back to the default instead of silently
-// truncating.
+// truncating. The net driver raises each net knob to at least 1.
 #pragma once
 
 #include <cstddef>
@@ -110,10 +96,10 @@ struct ExecOptions {
   /// itself from the pool.
   std::size_t workers = 0;
   /// Re-runs allowed per task after its first failure; -1 reads
-  /// DISCO_EXEC_RETRIES (default 2). Process backend only.
+  /// DISCO_EXEC_RETRIES (default 2). Procs and net backends.
   int max_retries = -1;
   /// Straggler deadline in milliseconds; -1 reads DISCO_EXEC_STRAGGLER_MS
-  /// (default 0 = never duplicate). Process backend only.
+  /// (default 0 = never duplicate). Procs and net backends.
   int straggler_ms = -1;
   /// The command the process backend re-invokes for workers — normally
   /// this process's own argv, verbatim. "--worker=<job>" is appended.

@@ -9,25 +9,20 @@
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include "exec/exec_internal.h"
 #include "exec/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-extern char** environ;
-
 namespace disco::exec {
 namespace {
-
-constexpr int kResultFd = 3;  // worker-side frame stream, by convention
 
 // Daemon registry counters ("[metrics] workerd:" dump line, emitted on
 // SIGUSR1 and at clean shutdown).
@@ -71,9 +66,10 @@ void OnSigusr1(int) { g_dump_requested = 1; }
 void OnShutdownSignal(int) { g_shutdown_requested = 1; }
 
 // Counts whole wire frames inside a verbatim relay stream without
-// buffering it: accumulate the 21-byte header, read the payload length at
-// offset 13, skip that many bytes, repeat. Frames split across reads are
-// handled by carrying the state in the session.
+// buffering it: accumulate the kFrameHeaderSize-byte header, read the
+// payload length at kFrameLengthOffset, skip that many bytes, repeat.
+// Frames split across reads are handled by carrying the state in the
+// session.
 struct RelayTally {
   std::string header;          // partial frame header bytes
   std::uint64_t remaining = 0; // payload bytes left in the current frame
@@ -88,37 +84,18 @@ struct RelayTally {
         remaining -= skip;
         continue;
       }
-      const std::size_t want = 21 - header.size();
+      const std::size_t want = kFrameHeaderSize - header.size();
       const std::size_t take = std::min(want, n);
       header.append(data, take);
       data += take;
       n -= take;
-      if (header.size() < 21) return;
-      std::uint64_t len = 0;
-      for (int i = 0; i < 8; ++i) {
-        len |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(header[13 + i]))
-               << (8 * i);
-      }
+      if (header.size() < kFrameHeaderSize) return;
+      remaining = LoadU64(header.data() + kFrameLengthOffset);
       header.clear();
-      remaining = len;
       Metrics().frames_relayed.Inc();
     }
   }
 };
-
-bool WriteAllFd(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 // One coordinator connection = one worker slot.
 struct Session {
@@ -126,150 +103,59 @@ struct Session {
   FrameBuffer frames;   // parsed only until the kSpawn frame arrives
   bool spawned = false;
   bool tcp_eof = false;  // coordinator half-closed (graceful goodbye)
-  pid_t child = -1;
-  int child_in = -1;   // worker stdin (task frames)
-  int child_out = -1;  // worker fd 3 (result frames)
+  internal::Channel child;  // the worker's stdin (tasks) and fd 3 (results)
   RelayTally tally_in;   // frame counting, coordinator -> worker
   RelayTally tally_out;  // frame counting, worker -> coordinator
 };
 
 void Teardown(Session* s) {
-  if (s->child_in >= 0) ::close(s->child_in);
-  if (s->child_out >= 0) ::close(s->child_out);
-  s->child_in = s->child_out = -1;
-  if (s->child > 0) {
-    // The worker may be mid-task (a stale straggler duplicate, or its
-    // coordinator gave up); tasks are pure, so killing loses nothing.
-    ::kill(s->child, SIGKILL);
-    int status = 0;
-    ::waitpid(s->child, &status, 0);
-    s->child = -1;
-  }
+  // The worker may be mid-task (a stale straggler duplicate, or its
+  // coordinator gave up); Drop kills it.
+  s->child.Drop();
   if (s->tcp_fd >= 0) ::close(s->tcp_fd);
   s->tcp_fd = -1;
-}
-
-// Forks and execs the worker the coordinator asked for, with the same fd
-// plumbing ProcessExecutor::Spawn sets up locally: stdin = task frames
-// (from the daemon's relay), stdout = /dev/null, fd 3 = result frames.
-// `env` entries ("K=V") override the daemon's own environment.
-bool SpawnWorker(const std::vector<std::string>& argv_in,
-                 const std::vector<std::string>& env_in, Session* s,
-                 std::string* error) {
-  std::vector<std::string> argv_strings = argv_in;
-  std::vector<char*> argv;
-  argv.reserve(argv_strings.size() + 1);
-  for (std::string& a : argv_strings) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
-  std::vector<std::string> env_strings = env_in;
-  std::vector<char*> envp;
-  for (char** e = environ; *e != nullptr; ++e) {
-    const char* eq = std::strchr(*e, '=');
-    const std::size_t key_len =
-        eq != nullptr ? static_cast<std::size_t>(eq - *e) : std::strlen(*e);
-    bool overridden = false;
-    for (const std::string& o : env_strings) {
-      if (o.compare(0, key_len, *e, key_len) == 0 &&
-          o.size() > key_len && o[key_len] == '=') {
-        overridden = true;
-        break;
-      }
-    }
-    if (!overridden) envp.push_back(*e);
-  }
-  for (std::string& o : env_strings) envp.push_back(o.data());
-  envp.push_back(nullptr);
-
-  int task_pipe[2], result_pipe[2];
-  if (::pipe2(task_pipe, O_CLOEXEC) != 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    return false;
-  }
-  if (::pipe2(result_pipe, O_CLOEXEC) != 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    return false;
-  }
-  const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    *error = std::string("fork: ") + std::strerror(errno);
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    ::close(result_pipe[0]);
-    ::close(result_pipe[1]);
-    if (devnull >= 0) ::close(devnull);
-    return false;
-  }
-  if (pid == 0) {
-    // Child: async-signal-safe calls only until exec (see
-    // process_executor.cpp for the dup2/O_CLOEXEC subtlety).
-    const auto install = [](int from, int to) {
-      if (from == to) {
-        ::fcntl(to, F_SETFD, 0);
-      } else {
-        ::dup2(from, to);
-      }
-    };
-    install(task_pipe[0], 0);
-    if (devnull >= 0) install(devnull, 1);
-    install(result_pipe[1], kResultFd);
-    ::execvpe(argv[0], argv.data(), envp.data());
-    _exit(127);
-  }
-  ::close(task_pipe[0]);
-  ::close(result_pipe[1]);
-  if (devnull >= 0) ::close(devnull);
-
-  s->child = pid;
-  s->child_in = task_pipe[1];
-  s->child_out = result_pipe[0];
-  s->spawned = true;
-  Metrics().spawns.Inc();
-  obs::TracePoint("workerd.spawn");
-  return true;
 }
 
 // Pre-spawn frame handling: everything up to (and including) kSpawn is
 // parsed; bytes behind the spawn frame are relayed to the fresh worker.
 // Returns false when the session must be torn down.
 bool HandlePreSpawnBytes(Session* s) {
-  for (;;) {
-    Frame f;
-    std::string parse_error;
-    const FrameBuffer::Status st = s->frames.Next(&f, &parse_error);
-    if (st == FrameBuffer::Status::kNeedMore) return true;
-    if (st == FrameBuffer::Status::kMalformed) {
-      std::fprintf(stderr, "disco_workerd: malformed frame from "
-                           "coordinator: %s\n", parse_error.c_str());
-      return false;
-    }
-    if (f.type != static_cast<char>(FrameType::kSpawn)) {
-      std::fprintf(stderr, "disco_workerd: expected a spawn frame, got "
-                           "'%c'\n", f.type);
-      return false;
-    }
-    std::vector<std::string> argv, env;
-    if (!ParseSpawnPayload(f.payload, &argv, &env)) {
-      std::fprintf(stderr, "disco_workerd: unparseable spawn payload\n");
-      return false;
-    }
-    std::string error;
-    if (!SpawnWorker(argv, env, s, &error)) {
-      std::fprintf(stderr, "disco_workerd: cannot spawn worker: %s\n",
-                   error.c_str());
-      return false;
-    }
-    const std::string rest = s->frames.TakeBuffered();
-    if (!rest.empty() &&
-        !WriteAllFd(s->child_in, rest.data(), rest.size())) {
-      return false;
-    }
-    return true;
+  Frame f;
+  std::string parse_error;
+  const FrameBuffer::Status st = s->frames.Next(&f, &parse_error);
+  if (st == FrameBuffer::Status::kNeedMore) return true;
+  if (st == FrameBuffer::Status::kMalformed) {
+    std::fprintf(stderr, "disco_workerd: malformed frame from "
+                         "coordinator: %s\n", parse_error.c_str());
+    return false;
   }
+  if (f.type != static_cast<char>(FrameType::kSpawn)) {
+    std::fprintf(stderr, "disco_workerd: expected a spawn frame, got "
+                         "'%c'\n", f.type);
+    return false;
+  }
+  std::vector<std::string> argv, env;
+  if (!ParseSpawnPayload(f.payload, &argv, &env)) {
+    std::fprintf(stderr, "disco_workerd: unparseable spawn payload\n");
+    return false;
+  }
+  // The worker gets the same fd plumbing as a procs worker; `env`
+  // entries ("K=V") override the daemon's own environment.
+  std::string error;
+  if (!internal::SpawnWorkerProcess(argv, env, &s->child, &error)) {
+    std::fprintf(stderr, "disco_workerd: cannot spawn worker: %s\n",
+                 error.c_str());
+    return false;
+  }
+  s->spawned = true;
+  Metrics().spawns.Inc();
+  obs::TracePoint("workerd.spawn");
+  const std::string rest = s->frames.TakeBuffered();
+  if (!rest.empty() &&
+      !internal::WriteAll(s->child.write_fd, rest.data(), rest.size())) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -388,7 +274,7 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
     // the persistent EOF while its worker finishes its goodbye.
     for (Session& s : sessions) {
       fds.push_back({s.tcp_eof ? -1 : s.tcp_fd, POLLIN, 0});
-      fds.push_back({s.spawned ? s.child_out : -1, POLLIN, 0});
+      fds.push_back({s.spawned ? s.child.read_fd : -1, POLLIN, 0});
     }
     const int ready = ::poll(fds.data(), fds.size(), -1);
     if (ready < 0) {
@@ -407,7 +293,7 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
         const std::string hello =
             EncodeFrame(static_cast<char>(FrameType::kHello),
                         kWireProtocolVersion, "disco_workerd");
-        if (WriteAllFd(conn, hello.data(), hello.size())) {
+        if (internal::WriteAll(conn, hello.data(), hello.size())) {
           Metrics().connections.Inc();
           Metrics().bytes_out.Add(hello.size());
           obs::TracePoint("workerd.accept");
@@ -435,8 +321,8 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
           if (s.spawned) {
             // Relay verbatim: these are task frames for the worker.
             s.tally_in.Feed(chunk, static_cast<std::size_t>(n));
-            if (!WriteAllFd(s.child_in, chunk,
-                            static_cast<std::size_t>(n))) {
+            if (!internal::WriteAll(s.child.write_fd, chunk,
+                                    static_cast<std::size_t>(n))) {
               dead = true;  // worker gone; close so the coordinator retries
             }
           } else {
@@ -450,10 +336,7 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
             // answers with one kObs frame (trace sidecar + metrics) that
             // still relays back over our open write side — and wait for
             // the worker to exit before closing the connection.
-            if (s.child_in >= 0) {
-              ::close(s.child_in);
-              s.child_in = -1;
-            }
+            if (s.child.write_fd >= 0) s.child.CloseWrite();
             s.tcp_eof = true;
           } else {
             dead = true;  // coordinator left before spawning anything
@@ -466,11 +349,12 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
       if (!dead && s.spawned &&
           (child_ev & (POLLIN | POLLHUP | POLLERR)) != 0) {
         char chunk[65536];
-        const ssize_t n = ::read(s.child_out, chunk, sizeof chunk);
+        const ssize_t n = ::read(s.child.read_fd, chunk, sizeof chunk);
         if (n > 0) {
           // Relay verbatim: result frames for the coordinator.
           s.tally_out.Feed(chunk, static_cast<std::size_t>(n));
-          if (!WriteAllFd(s.tcp_fd, chunk, static_cast<std::size_t>(n))) {
+          if (!internal::WriteAll(s.tcp_fd, chunk,
+                                  static_cast<std::size_t>(n))) {
             dead = true;
           } else {
             Metrics().bytes_out.Add(static_cast<std::uint64_t>(n));

@@ -39,6 +39,16 @@ inline void PutU64(std::string* buf, std::uint64_t v) {
   buf->append(bytes, 8);
 }
 
+/// Reads the little-endian u64 PutU64 wrote at `p` (8 bytes must exist).
+inline std::uint64_t LoadU64(const char* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 inline void PutDouble(std::string* buf, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, 8);
@@ -60,14 +70,8 @@ class WireReader {
 
   bool GetU64(std::uint64_t* v) {
     if (!ok_ || pos_ + 8 > buf_.size()) return Fail();
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(buf_[pos_ + i]))
-             << (8 * i);
-    }
+    *v = LoadU64(buf_.data() + pos_);
     pos_ += 8;
-    *v = out;
     return true;
   }
 
@@ -158,6 +162,11 @@ constexpr char kFrameMagic[4] = {'D', 'W', 'X', '1'};
 /// task result is at most a bundle of TSV files, far under 1 GiB.
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
+/// The header layout above, named once for every encoder and decoder.
+constexpr std::size_t kFrameIndexOffset = 5;
+constexpr std::size_t kFrameLengthOffset = 13;
+constexpr std::size_t kFrameHeaderSize = 21;
+
 enum class FrameType : char {
   kTask = 'T',       // driver -> worker: run task <index> (no payload)
   kResult = 'R',     // worker -> driver: task <index> result bytes
@@ -188,7 +197,7 @@ struct Frame {
 inline std::string EncodeFrame(char type, std::uint64_t index,
                                const std::string& payload) {
   std::string out;
-  out.reserve(21 + payload.size());
+  out.reserve(kFrameHeaderSize + payload.size());
   out.append(kFrameMagic, 4);
   out.push_back(type);
   PutU64(&out, index);
@@ -209,7 +218,7 @@ class FrameBuffer {
   void Append(const char* data, std::size_t n) { buf_.append(data, n); }
 
   Status Next(Frame* out, std::string* error) {
-    if (buf_.size() < 21) return Status::kNeedMore;
+    if (buf_.size() < kFrameHeaderSize) return Status::kNeedMore;
     if (std::memcmp(buf_.data(), kFrameMagic, 4) != 0) {
       *error = "bad frame magic";
       return Status::kMalformed;
@@ -225,18 +234,19 @@ class FrameBuffer {
       *error = std::string("unknown frame type '") + type + "'";
       return Status::kMalformed;
     }
-    const std::uint64_t index = ReadU64(5);
-    const std::uint64_t len = ReadU64(13);
+    const std::uint64_t index = LoadU64(buf_.data() + kFrameIndexOffset);
+    const std::uint64_t len = LoadU64(buf_.data() + kFrameLengthOffset);
     if (len > kMaxFramePayload) {
       *error = "frame payload length " + std::to_string(len) +
                " exceeds the sanity bound";
       return Status::kMalformed;
     }
-    if (buf_.size() < 21 + len) return Status::kNeedMore;
+    if (buf_.size() < kFrameHeaderSize + len) return Status::kNeedMore;
     out->type = type;
     out->index = index;
-    out->payload = buf_.substr(21, static_cast<std::size_t>(len));
-    buf_.erase(0, 21 + static_cast<std::size_t>(len));
+    out->payload =
+        buf_.substr(kFrameHeaderSize, static_cast<std::size_t>(len));
+    buf_.erase(0, kFrameHeaderSize + static_cast<std::size_t>(len));
     return Status::kFrame;
   }
 
@@ -251,16 +261,6 @@ class FrameBuffer {
   }
 
  private:
-  std::uint64_t ReadU64(std::size_t at) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(buf_[at + i]))
-           << (8 * i);
-    }
-    return v;
-  }
-
   std::string buf_;
 };
 

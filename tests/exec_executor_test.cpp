@@ -1,15 +1,20 @@
 // Executor-layer tests: thread-backend semantics, wire round-trips, the
-// transport-agnostic TaskScheduler's failure accounting, and — through
-// the exec_test_worker helper binary — the process backend's failure
-// handling: a SIGKILLed worker's task rescheduled onto a survivor
-// (converging to the same bytes as the in-process run), a poison task
-// exhausting its retries with the failing task named, a drained pool
-// surfacing an error, a straggler past the deadline getting a
-// speculative duplicate, and misbehaving workers (forged frame index,
-// protocol-error frames) failing the run instead of corrupting it.
+// transport-agnostic TaskScheduler's failure accounting, the net
+// reconnect backoff step, and — through the exec_test_worker helper
+// binary — the framed-worker driver's failure handling: a SIGKILLed
+// worker's task rescheduled onto a survivor (converging to the same bytes
+// as the in-process run), a poison task exhausting its retries with the
+// failing task named, a drained pool surfacing an error, a straggler past
+// the deadline getting a speculative duplicate, misbehaving workers
+// (forged frame index, protocol-error frames) failing the run instead of
+// corrupting it, and every worker's kObs goodbye merging into the
+// driver's metrics. The failure-policy and goodbye cases run on both
+// transports: over pipes (procs) and through one localhost disco_workerd
+// daemon (net).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,9 +27,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "exec/exec_internal.h"
 #include "exec/executor.h"
 #include "exec/task_scheduler.h"
 #include "exec/wire.h"
+#include "helpers/workerd_daemon.h"
+#include "obs/metrics.h"
 
 #ifndef EXEC_TEST_WORKER_PATH
 #error "build must define EXEC_TEST_WORKER_PATH (see CMakeLists.txt)"
@@ -60,8 +68,15 @@ class ExecutorTest : public ::testing::Test {
 
   exec::ExecOptions ProcOpts(std::size_t workers,
                              std::vector<std::string> helper_flags) {
+    return Opts(exec::Backend::kProcs, workers, std::move(helper_flags));
+  }
+
+  // `workers` worker slots on either transport. Net slots all point at
+  // one localhost daemon, started on first use.
+  exec::ExecOptions Opts(exec::Backend backend, std::size_t workers,
+                         std::vector<std::string> helper_flags) {
     exec::ExecOptions opts;
-    opts.backend = exec::Backend::kProcs;
+    opts.backend = backend;
     opts.workers = workers;
     opts.max_retries = 2;
     opts.straggler_ms = 0;
@@ -69,8 +84,21 @@ class ExecutorTest : public ::testing::Test {
     for (std::string& f : helper_flags) {
       opts.worker_argv.push_back(std::move(f));
     }
+    if (backend == exec::Backend::kNet) {
+      if (daemon_.port() == 0) {
+        EXPECT_TRUE(daemon_.Start());
+      }
+      opts.hosts.assign(workers, daemon_.HostPort());
+    }
     return opts;
   }
+
+  // Failure-policy and goodbye cases, each run once per transport.
+  void PoisonTaskExhaustsRetries(exec::Backend backend);
+  void ForgedIndexFailsTheRun(exec::Backend backend);
+  void ProtocolErrorFailsTheRun(exec::Backend backend);
+  void StragglerIsDuplicated(exec::Backend backend);
+  void EveryWorkerShipsItsMetricsHome(exec::Backend backend);
 
   // The process backend never evaluates the task function driver-side.
   exec::TaskFn NotCalled() {
@@ -78,6 +106,9 @@ class ExecutorTest : public ::testing::Test {
       throw std::logic_error("driver-side task function must not run");
     };
   }
+
+ private:
+  test::Daemon daemon_;
 };
 
 TEST_F(ExecutorTest, WireRoundTripsExactly) {
@@ -159,8 +190,8 @@ TEST_F(ExecutorTest, SigkilledWorkerTaskReschedulesAndBytesConverge) {
   std::remove(marker.c_str());
 }
 
-TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamed) {
-  exec::ExecOptions opts = ProcOpts(2, {"--mode=fail-task1"});
+void ExecutorTest::PoisonTaskExhaustsRetries(exec::Backend backend) {
+  exec::ExecOptions opts = Opts(backend, 2, {"--mode=fail-task1"});
   opts.max_retries = 1;
   const auto executor = exec::MakeExecutor(opts);
   std::vector<std::string> results;
@@ -173,6 +204,14 @@ TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamed) {
       << status.error;
   EXPECT_NE(status.error.find("poisoned"), std::string::npos)
       << status.error;
+}
+
+TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamed) {
+  PoisonTaskExhaustsRetries(exec::Backend::kProcs);
+}
+
+TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamedOverNet) {
+  PoisonTaskExhaustsRetries(exec::Backend::kNet);
 }
 
 TEST_F(ExecutorTest, DrainedWorkerPoolSurfacesAnError) {
@@ -255,12 +294,12 @@ TEST_F(ExecutorTest, EnvKnobsRejectOverflowAndGarbage) {
   ASSERT_EQ(::unsetenv("DISCO_EXEC_NET_RECONNECTS"), 0);
 }
 
-TEST_F(ExecutorTest, WorkerForgingAWrongIndexFrameFailsTheRun) {
+void ExecutorTest::ForgedIndexFailsTheRun(exec::Backend backend) {
   // Task 1's worker emits a result frame claiming to be task 0 (which
   // another slot holds or already finished). The run must fail with the
   // mismatch named — not credit task 0 with bytes it never produced.
   const auto executor =
-      exec::MakeExecutor(ProcOpts(2, {"--mode=wrong-index-task1"}));
+      exec::MakeExecutor(Opts(backend, 2, {"--mode=wrong-index-task1"}));
   std::vector<std::string> results;
   const exec::RunResult status = executor->Run(4, NotCalled(), &results);
   ASSERT_FALSE(status.ok);
@@ -268,12 +307,20 @@ TEST_F(ExecutorTest, WorkerForgingAWrongIndexFrameFailsTheRun) {
       << status.error;
 }
 
-TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRun) {
+TEST_F(ExecutorTest, WorkerForgingAWrongIndexFrameFailsTheRun) {
+  ForgedIndexFailsTheRun(exec::Backend::kProcs);
+}
+
+TEST_F(ExecutorTest, WorkerForgingAWrongIndexFrameFailsTheRunOverNet) {
+  ForgedIndexFailsTheRun(exec::Backend::kNet);
+}
+
+void ExecutorTest::ProtocolErrorFailsTheRun(exec::Backend backend) {
   // A protocol-error frame is attributable to no task, so it must fail
   // the whole run — the old text protocol echoed the garbage back as a
   // task error and charged an innocent task a retry.
   const auto executor =
-      exec::MakeExecutor(ProcOpts(2, {"--mode=badreq-task1"}));
+      exec::MakeExecutor(Opts(backend, 2, {"--mode=badreq-task1"}));
   std::vector<std::string> results;
   const exec::RunResult status = executor->Run(4, NotCalled(), &results);
   ASSERT_FALSE(status.ok);
@@ -281,10 +328,18 @@ TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRun) {
       << status.error;
 }
 
-TEST_F(ExecutorTest, StragglerIsSpeculativelyDuplicated) {
+TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRun) {
+  ProtocolErrorFailsTheRun(exec::Backend::kProcs);
+}
+
+TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRunOverNet) {
+  ProtocolErrorFailsTheRun(exec::Backend::kNet);
+}
+
+void ExecutorTest::StragglerIsDuplicated(exec::Backend backend) {
   const std::string marker = TempPath("marker");
   exec::ExecOptions opts =
-      ProcOpts(2, {"--mode=sleep-task0", "--marker=" + marker});
+      Opts(backend, 2, {"--mode=sleep-task0", "--marker=" + marker});
   opts.straggler_ms = 100;  // task 0 sleeps 1200 ms: far past the deadline
   const auto executor = exec::MakeExecutor(opts);
   std::vector<std::string> results;
@@ -299,6 +354,64 @@ TEST_F(ExecutorTest, StragglerIsSpeculativelyDuplicated) {
   EXPECT_EQ(bytes.str().size(), 2u)
       << "expected the straggling task to run exactly twice";
   std::remove(marker.c_str());
+}
+
+TEST_F(ExecutorTest, StragglerIsSpeculativelyDuplicated) {
+  StragglerIsDuplicated(exec::Backend::kProcs);
+}
+
+TEST_F(ExecutorTest, StragglerIsSpeculativelyDuplicatedOverNet) {
+  StragglerIsDuplicated(exec::Backend::kNet);
+}
+
+void ExecutorTest::EveryWorkerShipsItsMetricsHome(exec::Backend backend) {
+  // Each idle worker answers the driver's goodbye with one kObs frame;
+  // the drain merges each into the driver's registry as one source.
+  const std::size_t before = obs::Global().MergedSourceCount();
+  const auto executor = exec::MakeExecutor(Opts(backend, 2, {"--mode=echo"}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(4, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(results, ExpectedResults(4));
+  EXPECT_EQ(obs::Global().MergedSourceCount(), before + 2);
+}
+
+TEST_F(ExecutorTest, EveryWorkerShipsItsMetricsHome) {
+  EveryWorkerShipsItsMetricsHome(exec::Backend::kProcs);
+}
+
+TEST_F(ExecutorTest, EveryWorkerShipsItsMetricsHomeOverNet) {
+  EveryWorkerShipsItsMetricsHome(exec::Backend::kNet);
+}
+
+TEST_F(ExecutorTest, NetBackoffIsClampedAndSaturates) {
+  // Knobs near INT_MAX must not overflow when the delay doubles (signed
+  // overflow is UB), and a zero first delay or budget must not mean
+  // back-to-back reconnects or no attempt at all.
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_BACKOFF_MS", "2147483647", 1), 0);
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_BACKOFF_MAX_MS", "2147483647", 1), 0);
+  exec::internal::Backoff b = exec::internal::Backoff::FromEnv();
+  EXPECT_EQ(b.first_ms, INT_MAX);
+  EXPECT_EQ(b.Next(b.first_ms), INT_MAX);
+  EXPECT_EQ(b.Next(INT_MAX / 2 + 1), INT_MAX);
+
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_BACKOFF_MS", "0", 1), 0);
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_BACKOFF_MAX_MS", "0", 1), 0);
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "0", 1), 0);
+  b = exec::internal::Backoff::FromEnv();
+  EXPECT_EQ(b.first_ms, 1);
+  EXPECT_EQ(b.max_ms, 1);
+  EXPECT_EQ(b.attempts, 1);
+  EXPECT_EQ(b.Next(b.first_ms), 1);
+
+  ASSERT_EQ(::unsetenv("DISCO_EXEC_NET_BACKOFF_MS"), 0);
+  ASSERT_EQ(::unsetenv("DISCO_EXEC_NET_BACKOFF_MAX_MS"), 0);
+  ASSERT_EQ(::unsetenv("DISCO_EXEC_NET_RECONNECTS"), 0);
+  b = exec::internal::Backoff::FromEnv();
+  EXPECT_EQ(b.first_ms, 50);
+  EXPECT_EQ(b.Next(50), 100);
+  EXPECT_EQ(b.Next(1500), 2000);
+  EXPECT_EQ(b.attempts, 5);
 }
 
 }  // namespace

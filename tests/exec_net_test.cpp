@@ -9,27 +9,21 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/executor.h"
 #include "exec/net_daemon.h"
+#include "helpers/workerd_daemon.h"
 
 #ifndef EXEC_TEST_WORKER_PATH
 #error "build must define EXEC_TEST_WORKER_PATH (see CMakeLists.txt)"
-#endif
-#ifndef DISCO_WORKERD_PATH
-#error "build must define DISCO_WORKERD_PATH (see CMakeLists.txt)"
 #endif
 
 namespace disco {
@@ -42,68 +36,6 @@ std::vector<std::string> ExpectedResults(std::size_t count) {
   }
   return expected;
 }
-
-// One disco_workerd subprocess. The daemon prints its actual endpoint
-// ("disco_workerd listening on HOST:PORT") once bound, which is how a
-// port-0 launch learns where to connect.
-class Daemon {
- public:
-  // port 0 = kernel-assigned. Returns false if the daemon did not come up.
-  bool Start(int port = 0) {
-    int out_pipe[2];
-    if (::pipe(out_pipe) != 0) return false;
-    pid_ = ::fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      ::dup2(out_pipe[1], STDOUT_FILENO);
-      ::close(out_pipe[0]);
-      ::close(out_pipe[1]);
-      const std::string listen =
-          "--listen=127.0.0.1:" + std::to_string(port);
-      ::execl(DISCO_WORKERD_PATH, DISCO_WORKERD_PATH, listen.c_str(),
-              static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    ::close(out_pipe[1]);
-    // Read the startup line a byte at a time (we only need one line and
-    // must not over-read into nothing: the daemon keeps stdout open).
-    std::string line;
-    char c;
-    while (line.find('\n') == std::string::npos) {
-      const ssize_t n = ::read(out_pipe[0], &c, 1);
-      if (n <= 0) break;
-      line.push_back(c);
-    }
-    ::close(out_pipe[0]);
-    const std::size_t colon = line.rfind(':');
-    if (line.find("listening on") == std::string::npos ||
-        colon == std::string::npos) {
-      Kill();
-      return false;
-    }
-    port_ = std::atoi(line.c_str() + colon + 1);
-    return port_ > 0;
-  }
-
-  void Kill() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-  }
-
-  int port() const { return port_; }
-  std::string HostPort() const {
-    return "127.0.0.1:" + std::to_string(port_);
-  }
-
-  ~Daemon() { Kill(); }
-
- private:
-  pid_t pid_ = -1;
-  int port_ = 0;
-};
 
 class ExecNetTest : public ::testing::Test {
  protected:
@@ -170,7 +102,7 @@ TEST_F(ExecNetTest, ParseHostPortValidates) {
 }
 
 TEST_F(ExecNetTest, NetBackendMatchesInProcessBytes) {
-  Daemon d1, d2;
+  test::Daemon d1, d2;
   ASSERT_TRUE(d1.Start());
   ASSERT_TRUE(d2.Start());
   const auto executor = exec::MakeExecutor(
@@ -186,7 +118,7 @@ TEST_F(ExecNetTest, SigkilledDaemonTasksFinishOnSurvivors) {
   // the coordinator must charge the in-flight task, fail over to the
   // surviving daemon, and still converge to the in-process bytes. The
   // dead daemon's endpoint just burns its reconnect budget.
-  Daemon d1, d2;
+  test::Daemon d1, d2;
   ASSERT_TRUE(d1.Start());
   ASSERT_TRUE(d2.Start());
   const std::string marker = TempPath("marker");
@@ -208,7 +140,7 @@ TEST_F(ExecNetTest, SigkilledWorkerRespawnsThroughReconnect) {
   // the connection, the coordinator reconnects to the SAME daemon, and
   // the daemon spawns a fresh worker. With a single daemon slot this is
   // the only way the run can finish — proving the respawn path works.
-  Daemon d1;
+  test::Daemon d1;
   ASSERT_TRUE(d1.Start());
   const std::string marker = TempPath("marker");
   const auto executor = exec::MakeExecutor(
@@ -229,7 +161,7 @@ TEST_F(ExecNetTest, DaemonRestartedOnSamePortIsPickedBackUp) {
   // coordinator's bounded-backoff reconnect must find the new daemon and
   // finish the run. Run() blocks, so it lives on a helper thread while
   // the test choreographs the kill/restart.
-  Daemon d1;
+  test::Daemon d1;
   ASSERT_TRUE(d1.Start());
   const int port = d1.port();
   const std::string marker = TempPath("marker");
@@ -248,7 +180,7 @@ TEST_F(ExecNetTest, DaemonRestartedOnSamePortIsPickedBackUp) {
     ::usleep(10 * 1000);
   }
   d1.Kill();
-  Daemon d2;
+  test::Daemon d2;
   ASSERT_TRUE(d2.Start(port));  // same endpoint, fresh daemon
   run.join();
   ASSERT_TRUE(status.ok) << status.error;
@@ -260,7 +192,7 @@ TEST_F(ExecNetTest, AllDaemonsUnreachableFailsTheRun) {
   // Nothing listens on the target port (a daemon is started just to
   // learn a free port, then killed). The coordinator must exhaust its
   // reconnect budget and fail, naming an unfinished task — not hang.
-  Daemon d1;
+  test::Daemon d1;
   ASSERT_TRUE(d1.Start());
   const std::string host_port = d1.HostPort();
   d1.Kill();

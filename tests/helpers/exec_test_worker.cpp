@@ -50,7 +50,7 @@ namespace {
 constexpr std::size_t kNumTasks = 16;  // >= any count the test drives
 
 // The worker side of the result pipe (see ServeTasks in
-// process_executor.cpp); the fault modes below forge frames on it.
+// src/exec/worker.cpp); the fault modes below forge frames on it.
 constexpr int kResultFd = 3;
 
 void WriteRawFrame(char type, std::uint64_t index,
