@@ -116,11 +116,10 @@ const std::vector<std::size_t>& S4::ClusterSizes() {
   runtime::ParallelFor(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
-        RadiusSearcher searcher(*g_);
         std::vector<NearNode> ball;
         for (std::size_t w = lo; w < hi; ++w) {
-          searcher.Search(static_cast<NodeId>(w),
-                          BallRadius(static_cast<NodeId>(w)), ball);
+          WithinRadius(*g_, static_cast<NodeId>(w),
+                       BallRadius(static_cast<NodeId>(w)), &ball);
           for (const NearNode& m : ball) {
             counts[m.node].fetch_add(1, std::memory_order_relaxed);
           }

@@ -13,6 +13,12 @@
 // converged distributed protocol would use, with the shortcutting
 // heuristics of Fig. 6 applied on top. The DES in src/sim/ reproduces the
 // convergence messaging of the same protocol.
+//
+// Converged tables never change, so serving reads them from frozen
+// tables: PrewarmVicinities() and PrewarmLandmarkTrees() build immutable
+// vicinity and landmark-tree tables that queries read with no lock. Nodes
+// and landmarks outside them fall through to bounded LRUs that compute on
+// demand (the counted miss path).
 #pragma once
 
 #include <memory>
@@ -44,25 +50,26 @@ class NdDisco {
   const AddressBook& addresses() const { return addresses_; }
   std::size_t vicinity_size() const { return vicinities_.k(); }
 
-  /// The converged vicinity of v (memoized).
-  std::shared_ptr<const Vicinity> vicinity(NodeId v) {
+  /// The converged vicinity of v: a lock-free read of the frozen table
+  /// when v was prewarmed, else computed on the counted miss path.
+  VicinityRef vicinity(NodeId v) {
     return vicinities_.Get(v);
   }
 
-  /// Bulk-computes the vicinities of `nodes` over the runtime thread pool
-  /// (wall-clock only; contents are deterministic). Use before a sweep
-  /// that routes from a known set of sources.
+  /// Freezes the vicinities of `nodes`, computed over the runtime thread
+  /// pool (wall-clock only; contents are deterministic). Use before a
+  /// sweep or a serving run that routes from a known set of sources.
   void PrewarmVicinities(const std::vector<NodeId>& nodes) {
     vicinities_.Prewarm(nodes);
   }
 
-  /// Fans every landmark-tree Dijkstra out over the thread pool up front
-  /// (when the whole set fits in the cache). For sweeps that will touch
-  /// most landmarks anyway; ad-hoc routing should stay lazy/LRU.
+  /// Resolves every landmark tree over the thread pool up front and
+  /// freezes the set (when it fits in the cache). For sweeps that will
+  /// touch most landmarks anyway; ad-hoc routing should stay lazy/LRU.
   void PrewarmLandmarkTrees() { trees_.Prewarm(); }
 
-  /// The Dijkstra tree of landmark l (memoized); how every node knows its
-  /// shortest path to l.
+  /// The Dijkstra tree of landmark l (frozen or memoized); how every node
+  /// knows its shortest path to l.
   std::shared_ptr<const ShortestPathTree> LandmarkTree(NodeId l) {
     return trees_.Tree(l);
   }

@@ -55,8 +55,7 @@ using DirectPathFn =
     std::function<std::vector<NodeId>(NodeId u, NodeId t)>;
 
 /// Vicinity oracle for Up-Down-Stream splicing.
-using VicinityFn =
-    std::function<std::shared_ptr<const Vicinity>(NodeId u)>;
+using VicinityFn = std::function<VicinityRef(NodeId u)>;
 
 /// Walks `path` from the source; the first node whose oracle knows the
 /// destination truncates the plan there and appends the direct path.

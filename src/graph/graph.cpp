@@ -21,6 +21,7 @@ Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
   num_nodes_ = other.num_nodes_;
   num_edges_ = other.num_edges_;
+  min_weight_ = other.min_weight_;
   if (other.backing_ != nullptr) {
     // Borrowed graphs alias immutable storage; copies share it.
     own_offsets_.clear();
@@ -52,6 +53,14 @@ void Graph::BindOwned() {
   arc_edge_ = own_arc_edge_.data();
   ends_ = own_ends_.data();
   weights_ = own_weights_.data();
+  ComputeMinWeight();
+}
+
+void Graph::ComputeMinWeight() {
+  min_weight_ = kInfDist;
+  for (std::size_t e = 0; e < num_edges_; ++e) {
+    min_weight_ = std::min(min_weight_, weights_[e]);
+  }
 }
 
 Graph Graph::FromEdges(NodeId n, Span<const WeightedEdge> edges) {
@@ -74,6 +83,7 @@ Graph Graph::FromSections(NodeId n, std::size_t m,
   g.ends_ = ends;
   g.weights_ = weights;
   g.backing_ = std::move(backing);
+  g.ComputeMinWeight();
   return g;
 }
 

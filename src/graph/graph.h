@@ -152,6 +152,11 @@ class Graph {
   /// Sum of edge weights (diagnostics).
   Dist total_weight() const;
 
+  /// Smallest edge weight (kInfDist for an edgeless graph). Truncated
+  /// searches use it to skip a node's whole adjacency when even its
+  /// lightest arc would land beyond their distance bound.
+  Dist min_weight() const { return min_weight_; }
+
   /// True when the arrays are a borrowed view (an mmap'd snapshot kept
   /// alive by the backing handle) rather than owned vectors.
   bool borrowed() const { return backing_ != nullptr; }
@@ -183,6 +188,7 @@ class Graph {
 
   NodeId num_nodes_ = 0;
   std::size_t num_edges_ = 0;
+  Dist min_weight_ = kInfDist;
 
   // Section pointers — into the own_* vectors (owned mode) or into
   // backing_'s storage (borrowed mode). Never null for a built graph; a
@@ -201,6 +207,7 @@ class Graph {
   std::shared_ptr<const void> backing_;
 
   void BindOwned();
+  void ComputeMinWeight();
 };
 
 /// Streaming CSR construction: generators Add() edges one (or a chunk) at

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 #include <queue>
 
 namespace disco {
@@ -60,110 +62,132 @@ ShortestPathTree Dijkstra(const Graph& g, NodeId source) {
   return t;
 }
 
-std::vector<NearNode> KNearest(const Graph& g, NodeId source, std::size_t k) {
-  std::vector<NearNode> out;
-  if (k == 0) return out;
-  out.reserve(k);
+namespace {
 
-  // Sparse bookkeeping: the search typically touches O(k) nodes, far fewer
-  // than n, so distances live in a hash-free "touched" list.
-  std::vector<Dist> dist(g.num_nodes(), kInfDist);
-  std::vector<NodeId> parent(g.num_nodes(), kInvalidNode);
+// Per-thread state of the truncated searches (KNearest, WithinRadius).
+// The arrays grow to the largest graph searched on the thread and stay
+// clean between calls: every node a search writes is listed in `touched`
+// and reset before the search returns, so a call costs O(nodes touched)
+// instead of allocating and zero-filling three O(n) arrays.
+struct SearchScratch {
+  std::vector<Dist> dist;
+  std::vector<NodeId> parent;
+  std::vector<char> settled;
   std::vector<NodeId> touched;
+  std::vector<QueueItem> heap;
+};
 
-  MinQueue q;
-  dist[source] = 0;
-  touched.push_back(source);
-  q.push({0, source});
+// Claims the thread's scratch for one search and resets what the search
+// touched on exit, exceptions included.
+class ScratchLease {
+ public:
+  explicit ScratchLease(NodeId n) : s_(Scratch()) {
+    if (s_.dist.size() < n) {
+      s_.dist.resize(n, kInfDist);
+      s_.parent.resize(n, kInvalidNode);
+      s_.settled.resize(n, 0);
+    }
+  }
+  ~ScratchLease() {
+    for (const NodeId v : s_.touched) {
+      s_.dist[v] = kInfDist;
+      s_.parent[v] = kInvalidNode;
+      s_.settled[v] = 0;
+    }
+    s_.touched.clear();
+    s_.heap.clear();
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
 
-  std::vector<char> settled(g.num_nodes(), 0);
-  while (!q.empty() && out.size() < k) {
-    const auto [d, v] = q.top();
-    q.pop();
-    if (settled[v] || d > dist[v]) continue;
-    settled[v] = 1;
-    out.push_back({v, d, parent[v]});
+  SearchScratch& operator*() const { return s_; }
+
+ private:
+  static SearchScratch& Scratch() {
+    thread_local SearchScratch scratch;
+    return scratch;
+  }
+  SearchScratch& s_;
+};
+
+// Dijkstra from `source` that settles nodes in (dist, id) order into
+// `out` until `k` are settled or nothing within `bound` remains. It never
+// relaxes an arc that lands farther than `bound` and skips a settled
+// node's whole adjacency when even its lightest arc would. Both skips are
+// exact: a relaxation beyond the bound can neither settle a node within
+// it nor change the parent of one. Once k nodes have been discovered,
+// the k-th closest node lies no farther than the largest of their
+// tentative distances, so the bound tightens to that value.
+void TruncatedSearch(const Graph& g, NodeId source, std::size_t k,
+                     Dist bound, std::vector<NearNode>* out) {
+  out->clear();
+  if (k == 0) return;
+  const ScratchLease lease(g.num_nodes());
+  SearchScratch& s = *lease;
+  const auto discover = [&](NodeId v) {
+    s.touched.push_back(v);
+    if (s.touched.size() != k) return;
+    Dist kth = 0;
+    for (const NodeId t : s.touched) kth = std::max(kth, s.dist[t]);
+    bound = std::min(bound, kth);
+  };
+  const auto push = [&](Dist d, NodeId v) {
+    s.heap.push_back({d, v});
+    std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>());
+  };
+
+  s.dist[source] = 0;
+  discover(source);
+  push(0, source);
+  const Dist w_min = g.min_weight();
+  while (!s.heap.empty() && out->size() < k) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>());
+    const auto [d, v] = s.heap.back();
+    s.heap.pop_back();
+    if (s.settled[v] || d > s.dist[v]) continue;
+    s.settled[v] = 1;
+    out->push_back({v, d, s.parent[v]});
+    if (d + w_min > bound) continue;
     for (const Neighbor& nb : g.neighbors(v)) {
       const Dist nd = d + nb.weight;
-      if (nd < dist[nb.to] || (nd == dist[nb.to] && v < parent[nb.to])) {
-        if (dist[nb.to] == kInfDist) touched.push_back(nb.to);
-        dist[nb.to] = nd;
-        parent[nb.to] = v;
-        q.push({nd, nb.to});
+      if (nd > bound) continue;
+      Dist& cur = s.dist[nb.to];
+      if (nd < cur || (nd == cur && v < s.parent[nb.to])) {
+        const bool fresh = cur == kInfDist;
+        cur = nd;
+        s.parent[nb.to] = v;
+        if (fresh) discover(nb.to);
+        push(nd, nb.to);
       }
     }
   }
+}
+
+}  // namespace
+
+std::vector<NearNode> KNearest(const Graph& g, NodeId source, std::size_t k) {
+  std::vector<NearNode> out;
+  out.reserve(std::min<std::size_t>(k, g.num_nodes()));
+  TruncatedSearch(g, source, k, kInfDist, &out);
   return out;
+}
+
+void KNearest(const Graph& g, NodeId source, std::size_t k,
+              std::vector<NearNode>* out) {
+  TruncatedSearch(g, source, k, kInfDist, out);
 }
 
 std::vector<NearNode> WithinRadius(const Graph& g, NodeId source,
                                    Dist radius) {
   std::vector<NearNode> out;
-  std::vector<Dist> dist(g.num_nodes(), kInfDist);
-  std::vector<NodeId> parent(g.num_nodes(), kInvalidNode);
-  std::vector<char> settled(g.num_nodes(), 0);
-
-  MinQueue q;
-  dist[source] = 0;
-  q.push({0, source});
-  while (!q.empty()) {
-    const auto [d, v] = q.top();
-    q.pop();
-    if (settled[v] || d > dist[v]) continue;
-    settled[v] = 1;
-    out.push_back({v, d, parent[v]});
-    for (const Neighbor& nb : g.neighbors(v)) {
-      const Dist nd = d + nb.weight;
-      if (nd > radius) continue;
-      if (nd < dist[nb.to] || (nd == dist[nb.to] && v < parent[nb.to])) {
-        dist[nb.to] = nd;
-        parent[nb.to] = v;
-        q.push({nd, nb.to});
-      }
-    }
-  }
+  WithinRadius(g, source, radius, &out);
   return out;
 }
 
-RadiusSearcher::RadiusSearcher(const Graph& g)
-    : g_(g), stamp_(g.num_nodes(), 0), dist_(g.num_nodes(), kInfDist),
-      parent_(g.num_nodes(), kInvalidNode), settled_(g.num_nodes(), 0) {}
-
-void RadiusSearcher::Search(NodeId source, Dist radius,
-                            std::vector<NearNode>& out) {
-  out.clear();
-  ++version_;
-  auto touch = [this](NodeId v) {
-    if (stamp_[v] != version_) {
-      stamp_[v] = version_;
-      dist_[v] = kInfDist;
-      parent_[v] = kInvalidNode;
-      settled_[v] = 0;
-    }
-  };
-
-  MinQueue q;
-  touch(source);
-  dist_[source] = 0;
-  q.push({0, source});
-  while (!q.empty()) {
-    const auto [d, v] = q.top();
-    q.pop();
-    if (settled_[v] || d > dist_[v]) continue;
-    settled_[v] = 1;
-    out.push_back({v, d, parent_[v]});
-    for (const Neighbor& nb : g_.neighbors(v)) {
-      const Dist nd = d + nb.weight;
-      if (nd > radius) continue;
-      touch(nb.to);
-      if (nd < dist_[nb.to] ||
-          (nd == dist_[nb.to] && v < parent_[nb.to])) {
-        dist_[nb.to] = nd;
-        parent_[nb.to] = v;
-        q.push({nd, nb.to});
-      }
-    }
-  }
+void WithinRadius(const Graph& g, NodeId source, Dist radius,
+                  std::vector<NearNode>* out) {
+  TruncatedSearch(g, source, std::numeric_limits<std::size_t>::max(),
+                  radius, out);
 }
 
 std::vector<NodeId> MultiSourceTree::PathFromSource(NodeId v) const {

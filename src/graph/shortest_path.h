@@ -38,33 +38,28 @@ struct NearNode {
 /// fewer than k entries only if the component of `source` is smaller.
 ///
 /// Deterministic tie-breaking matters: two nodes computing "the k closest"
-/// must agree on the boundary, and tests rely on it.
+/// must agree on the boundary, and tests rely on it. The result (node,
+/// dist and parent) equals the (dist, id)-ordered prefix of a full
+/// Dijkstra; the search only skips relaxations that provably cannot reach
+/// that prefix, and costs O(nodes touched), not O(n), per call.
 std::vector<NearNode> KNearest(const Graph& g, NodeId source, std::size_t k);
+
+/// The same search into a caller's buffer: `out` is cleared and refilled,
+/// so a loop over many sources reuses one allocation.
+void KNearest(const Graph& g, NodeId source, std::size_t k,
+              std::vector<NearNode>* out);
 
 /// Every node within distance `radius` (inclusive) of `source`, in
 /// nondecreasing distance order with ties broken by id — the "ball" used
-/// for S4 cluster computations (C(v) membership is a radius test).
+/// for S4 cluster computations (C(v) membership is a radius test). Costs
+/// O(ball) per call, like KNearest.
 std::vector<NearNode> WithinRadius(const Graph& g, NodeId source,
                                    Dist radius);
 
-/// Reusable-buffer variant of WithinRadius for tight loops (S4 computes one
-/// ball per node of the network). Uses version-stamped state, so repeated
-/// searches cost O(ball) instead of O(n).
-class RadiusSearcher {
- public:
-  explicit RadiusSearcher(const Graph& g);
-
-  /// Equivalent to out = WithinRadius(g, source, radius).
-  void Search(NodeId source, Dist radius, std::vector<NearNode>& out);
-
- private:
-  const Graph& g_;
-  std::uint64_t version_ = 0;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<Dist> dist_;
-  std::vector<NodeId> parent_;
-  std::vector<char> settled_;
-};
+/// The same search into a caller's buffer (S4 computes one ball per node
+/// of the network).
+void WithinRadius(const Graph& g, NodeId source, Dist radius,
+                  std::vector<NearNode>* out);
 
 /// Multi-source Dijkstra: for every node, the distance and parent toward its
 /// closest source (ties broken by smaller source id). `closest[v]` names

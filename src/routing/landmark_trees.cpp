@@ -4,6 +4,7 @@
 // dijkstras, writebacks) — commutative increments read after the owning
 // parallel section has joined; they never feed routing output.
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -99,6 +100,16 @@ std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::LoadOrCompute(
 
 std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::Tree(NodeId l) {
   assert(landmarks_.Contains(l));
+  if (const TreeArray* frozen = frozen_.load(std::memory_order_acquire)) {
+    const std::vector<NodeId>& all = landmarks_.landmarks;
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(all.begin(), all.end(), l) - all.begin());
+    ram_hits_.fetch_add(1, std::memory_order_relaxed);
+    store::Counters().tree_ram_hits.Inc();
+    // Aliasing an empty owner: a pointer without a control block.
+    return {std::shared_ptr<const ShortestPathTree>(),
+            (*frozen)[rank].get()};
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(l);
@@ -157,13 +168,18 @@ void LandmarkTreeCache::Prewarm(std::size_t max_resident_entries) {
     return;
   }
   if (runtime::ThreadPool::Shared().parallelism() == 1) return;  // stay lazy
-  std::vector<std::shared_ptr<const ShortestPathTree>> trees(all.size());
+  if (frozen_.load(std::memory_order_acquire) != nullptr) return;
+  auto trees = std::make_unique<TreeArray>(all.size());
   runtime::ParallelForTasks(all.size(), [&](std::size_t i) {
-    trees[i] = LoadOrCompute(all[i]);
+    (*trees)[i] = LoadOrCompute(all[i]);
   });
+  std::lock_guard<std::mutex> lock(mu_);
+  if (frozen_.load(std::memory_order_acquire) != nullptr) return;
   for (std::size_t i = 0; i < all.size(); ++i) {
-    Insert(all[i], std::move(trees[i]));
+    if (cache_.count(all[i]) == 0) ++computed_;
   }
+  frozen_trees_ = std::move(trees);
+  frozen_.store(frozen_trees_.get(), std::memory_order_release);
 }
 
 std::size_t LandmarkTreeCache::computed_count() const {

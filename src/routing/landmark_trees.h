@@ -16,10 +16,13 @@
 // process loads instead of recomputing. Decoded trees are bit-identical
 // to computed ones, so store-backed runs produce byte-identical output.
 //
-// The cache is thread-safe: concurrent routing tasks may miss on distinct
-// landmarks and run their loads/Dijkstras in parallel (the lock covers
-// only map bookkeeping). Prewarm() bulk-resolves the whole tree set over
-// the runtime's thread pool when it fits in the cache.
+// Prewarm() bulk-resolves the whole tree set over the runtime's thread
+// pool when it fits the resident budget, and freezes it: an immutable
+// array indexed by landmark rank that Tree() reads with no lock. Without
+// a prewarm (or when the set does not fit) trees go through a bounded
+// LRU, which is thread-safe: concurrent routing tasks may miss on
+// distinct landmarks and run their loads/Dijkstras in parallel (the lock
+// covers only map bookkeeping).
 #pragma once
 
 #include <atomic>
@@ -58,11 +61,14 @@ class LandmarkTreeCache {
                     std::size_t capacity = 2048);
 
   /// The Dijkstra tree rooted at landmark `l` (l must be a landmark).
-  /// Safe to call concurrently.
+  /// Safe to call concurrently. A frozen tree is returned without
+  /// ownership (no reference count to bump): it lives as long as the
+  /// cache.
   std::shared_ptr<const ShortestPathTree> Tree(NodeId l);
 
   /// Eagerly resolves every landmark tree in parallel (store load where
-  /// possible, Dijkstra otherwise). No-op unless the full set fits in the
+  /// possible, Dijkstra otherwise) and freezes the set for lock-free
+  /// reads. No-op once frozen, and unless the full set fits in the
   /// cache and within `max_resident_entries` total tree entries
   /// (count * n) — paper-scale --full maps stay lazy/LRU unless the
   /// budget is raised. Passing 0 (the default) takes the budget from the
@@ -113,6 +119,12 @@ class LandmarkTreeCache {
   std::atomic<std::size_t> store_hits_{0};
   std::atomic<std::size_t> dijkstras_{0};
   std::atomic<std::size_t> writebacks_{0};
+
+  // Every tree by landmark rank once Prewarm has frozen the set;
+  // immutable from then on.
+  using TreeArray = std::vector<std::shared_ptr<const ShortestPathTree>>;
+  std::atomic<const TreeArray*> frozen_{nullptr};
+  std::unique_ptr<const TreeArray> frozen_trees_;
 
   mutable std::mutex mu_;
   std::size_t computed_ = 0;

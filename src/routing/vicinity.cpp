@@ -2,103 +2,267 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
 
+#include "obs/log.h"
 #include "runtime/parallel_for.h"
 
 namespace disco {
+namespace {
+
+struct OwnedStorage {
+  std::vector<NearNode> members;
+  std::vector<VicinityIndexEntry> index;
+};
+
+// Uninitialized storage for `count` objects of T: the table build writes
+// every entry from the pool's threads, so nothing is zero-filled first.
+template <typename T>
+T* AllocateUninitialized(std::size_t count) {
+  void* p = std::malloc(std::max<std::size_t>(count, 1) * sizeof(T));
+  if (p == nullptr) throw std::bad_alloc();
+  return static_cast<T*>(p);
+}
+
+// Writes the membership index of `members` to `index[0, size)`.
+void BuildIndex(Span<const NearNode> members, VicinityIndexEntry* index) {
+  for (std::uint32_t i = 0; i < members.size(); ++i) {
+    index[i] = {members[i].node, i};
+  }
+  std::sort(index, index + members.size(),
+            [](const VicinityIndexEntry& a, const VicinityIndexEntry& b) {
+              return a.node < b.node;
+            });
+}
+
+}  // namespace
+
+VicinityCounters::VicinityCounters()
+    : table_entries(obs::Global().RegisterGauge(
+          "disco_vicinity_table_entries",
+          "Vicinity members resident in frozen vicinity tables", "vicinity",
+          "table_entries")),
+      table_bytes(obs::Global().RegisterGauge(
+          "disco_vicinity_table_bytes",
+          "Bytes of the frozen vicinity tables (members, index, offsets)",
+          "vicinity", "table_bytes")),
+      miss_computations(obs::Global().RegisterCounter(
+          "disco_vicinity_miss_computations_total",
+          "Vicinities computed on demand outside the frozen table",
+          "vicinity", "miss")),
+      truncations(obs::Global().RegisterCounter(
+          "disco_vicinity_table_truncations_total",
+          "Prewarms cut short by the frozen table's entry budget",
+          "vicinity", "truncated")) {}
+
+VicinityCounters& VicinityMetrics() {
+  static VicinityCounters* counters = new VicinityCounters;
+  return *counters;
+}
 
 Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members)
-    : owner_(owner), members_(std::move(members)) {
-  index_.reserve(members_.size());
-  for (std::uint32_t i = 0; i < members_.size(); ++i) {
-    index_.emplace(members_[i].node, i);
-  }
+    : owner_(owner) {
+  auto storage = std::make_shared<OwnedStorage>();
+  storage->members = std::move(members);
+  storage->index.resize(storage->members.size());
+  BuildIndex(storage->members, storage->index.data());
+  members_ = storage->members;
+  index_ = storage->index;
+  storage_ = std::move(storage);
+}
+
+const NearNode* Vicinity::Find(NodeId v) const {
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), v,
+      [](const VicinityIndexEntry& e, NodeId x) { return e.node < x; });
+  if (it == index_.end() || it->node != v) return nullptr;
+  return &members_[it->pos];
 }
 
 Dist Vicinity::DistanceTo(NodeId v) const {
-  const auto it = index_.find(v);
-  return it == index_.end() ? kInfDist : members_[it->second].dist;
+  const NearNode* m = Find(v);
+  return m == nullptr ? kInfDist : m->dist;
 }
 
 std::vector<NodeId> Vicinity::PathTo(NodeId v) const {
-  auto it = index_.find(v);
-  if (it == index_.end()) return {};
+  const NearNode* m = Find(v);
+  if (m == nullptr) return {};
   std::vector<NodeId> path;
   // Parents point toward the owner and were settled earlier, so they are
-  // always present in the member index.
-  NodeId cur = v;
-  while (cur != kInvalidNode) {
-    path.push_back(cur);
-    if (cur == owner_) break;
-    const auto pit = index_.find(cur);
-    assert(pit != index_.end());
-    cur = members_[pit->second].parent;
+  // always members too.
+  while (true) {
+    path.push_back(m->node);
+    if (m->node == owner_) break;
+    m = Find(m->parent);
+    assert(m != nullptr);
   }
   std::reverse(path.begin(), path.end());
   return path;
 }
 
-VicinityCache::VicinityCache(const Graph& g, std::size_t k,
-                             std::size_t capacity)
-    : g_(g), k_(std::min<std::size_t>(k, g.num_nodes())),
-      capacity_(std::max<std::size_t>(capacity, 1)) {}
+void VicinityCache::FreeDeleter::operator()(void* p) const { std::free(p); }
 
-std::shared_ptr<const Vicinity> VicinityCache::Get(NodeId v) {
+std::size_t VicinityCache::Table::bytes() const {
+  return entries() * (sizeof(NearNode) + sizeof(VicinityIndexEntry)) +
+         offsets.size() * sizeof(std::uint64_t) +
+         slot_of.size() * sizeof(std::uint32_t);
+}
+
+VicinityCache::VicinityCache(const Graph& g, std::size_t k,
+                             std::size_t capacity, std::size_t table_entries)
+    : g_(g), k_(std::min<std::size_t>(k, g.num_nodes())),
+      capacity_(std::max<std::size_t>(capacity, 1)),
+      table_entries_(table_entries) {}
+
+VicinityCache::~VicinityCache() {
+  for (const auto& t : tables_) {
+    VicinityMetrics().table_entries.Add(
+        -static_cast<std::int64_t>(t->entries()));
+    VicinityMetrics().table_bytes.Add(
+        -static_cast<std::int64_t>(t->bytes()));
+  }
+}
+
+VicinityRef VicinityCache::GetMiss(NodeId v) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(v);
     if (it != cache_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return it->second.vicinity;
+      return VicinityRef(it->second.vicinity);
     }
   }
-  // Miss: truncated Dijkstra runs unlocked so concurrent misses on
-  // distinct nodes parallelize. A racing duplicate of the same vicinity is
-  // harmless — Insert keeps the first.
-  return Insert(v, std::make_shared<const Vicinity>(v, KNearest(g_, v, k_)));
-}
-
-std::shared_ptr<const Vicinity> VicinityCache::Insert(
-    NodeId v, std::shared_ptr<const Vicinity> vic) {
+  // Truncated Dijkstra runs unlocked so concurrent misses on distinct
+  // nodes parallelize. A racing duplicate of the same vicinity is
+  // harmless — the first insert wins.
+  Vicinity vic(v, KNearest(g_, v, k_));
+  VicinityMetrics().miss_computations.Inc();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(v);
   if (it != cache_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.vicinity;
+    return VicinityRef(it->second.vicinity);
   }
   ++computed_;
   lru_.push_front(v);
   cache_.emplace(v, Entry{vic, lru_.begin()});
   if (cache_.size() > capacity_) {
-    const NodeId evict = lru_.back();
+    cache_.erase(lru_.back());
     lru_.pop_back();
-    cache_.erase(evict);
   }
-  return vic;
+  return VicinityRef(std::move(vic));
 }
 
 void VicinityCache::Prewarm(const std::vector<NodeId>& nodes) {
-  std::vector<NodeId> missing;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const NodeId v : nodes) {
-      if (cache_.find(v) == cache_.end()) missing.push_back(v);
+  if (k_ == 0) return;
+  std::lock_guard<std::mutex> lock(prewarm_mu_);
+  const Table* old = table_.load(std::memory_order_acquire);
+  // Requested nodes not frozen yet, deduplicated, in request order.
+  std::vector<char> wanted(g_.num_nodes(), 0);
+  if (old != nullptr) {
+    for (NodeId v = 0; v < g_.num_nodes(); ++v) {
+      wanted[v] = old->slot_of[v] != kNoSlot;
     }
   }
-  if (missing.size() > capacity_) missing.resize(capacity_);
-  std::vector<std::shared_ptr<const Vicinity>> built(missing.size());
-  runtime::ParallelForTasks(missing.size(), [&](std::size_t i) {
-    built[i] = std::make_shared<const Vicinity>(
-        missing[i], KNearest(g_, missing[i], k_));
-  });
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    Insert(missing[i], std::move(built[i]));
+  std::vector<NodeId> fresh;
+  for (const NodeId v : nodes) {
+    if (!wanted[v]) fresh.push_back(v);
+    wanted[v] = 1;
   }
+  const std::size_t frozen = old == nullptr ? 0 : old->slots();
+  const std::size_t max_slots = table_entries_ / k_;
+  const std::size_t room = max_slots > frozen ? max_slots - frozen : 0;
+  if (fresh.size() > room) {
+    obs::Log(obs::LogLevel::kWarn,
+             "vicinity table budget of %zu entries (k=%zu) holds %zu "
+             "vicinities; %zu requested nodes stay on the miss path",
+             table_entries_, k_, frozen + room, fresh.size() - room);
+    VicinityMetrics().truncations.Inc();
+    fresh.resize(room);
+  }
+  if (fresh.empty()) return;
+
+  std::unique_ptr<const Table> table = BuildTable(old, fresh);
+  VicinityMetrics().table_entries.Add(
+      static_cast<std::int64_t>(table->entries()));
+  VicinityMetrics().table_bytes.Add(
+      static_cast<std::int64_t>(table->bytes()));
+  const Table* live = table.get();
+  tables_.push_back(std::move(table));
+  table_.store(live, std::memory_order_release);
+}
+
+std::unique_ptr<const VicinityCache::Table> VicinityCache::BuildTable(
+    const Table* old, const std::vector<NodeId>& fresh) {
+  // Slots keep the old table's vicinities (copied, in their old slots),
+  // then the fresh nodes. Every slot is first written at stride k, which
+  // no vicinity exceeds; the table is compacted afterwards only if a
+  // component smaller than k left some slot short.
+  const std::size_t kept = old == nullptr ? 0 : old->slots();
+  const std::size_t slots = kept + fresh.size();
+  auto t = std::make_unique<Table>();
+  t->members.reset(AllocateUninitialized<NearNode>(slots * k_));
+  t->index.reset(AllocateUninitialized<VicinityIndexEntry>(slots * k_));
+  std::vector<std::size_t> len(slots);
+  runtime::ParallelFor(
+      0, slots,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<NearNode> buf;
+        for (std::size_t s = lo; s < hi; ++s) {
+          NearNode* members = t->members.get() + s * k_;
+          VicinityIndexEntry* index = t->index.get() + s * k_;
+          if (s < kept) {
+            const std::uint64_t a = old->offsets[s], b = old->offsets[s + 1];
+            std::uninitialized_copy(old->members.get() + a,
+                                    old->members.get() + b, members);
+            std::uninitialized_copy(old->index.get() + a,
+                                    old->index.get() + b, index);
+            len[s] = static_cast<std::size_t>(b - a);
+          } else {
+            KNearest(g_, fresh[s - kept], k_, &buf);
+            std::uninitialized_copy(buf.begin(), buf.end(), members);
+            BuildIndex({members, buf.size()}, index);
+            len[s] = buf.size();
+          }
+        }
+      },
+      nullptr, 16);
+
+  t->offsets.assign(slots + 1, 0);
+  for (std::size_t s = 0; s < slots; ++s) {
+    t->offsets[s + 1] = t->offsets[s] + len[s];
+  }
+  if (t->entries() != slots * k_) {
+    // Forward compaction: a slot's target never passes its source.
+    for (std::size_t s = 1; s < slots; ++s) {
+      std::memmove(t->members.get() + t->offsets[s],
+                   t->members.get() + s * k_, len[s] * sizeof(NearNode));
+      std::memmove(t->index.get() + t->offsets[s], t->index.get() + s * k_,
+                   len[s] * sizeof(VicinityIndexEntry));
+    }
+  }
+  if (old != nullptr) {
+    t->slot_of = old->slot_of;
+  } else {
+    t->slot_of.assign(g_.num_nodes(), kNoSlot);
+  }
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    t->slot_of[fresh[i]] = static_cast<std::uint32_t>(kept + i);
+  }
+  return t;
 }
 
 std::size_t VicinityCache::computed_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return computed_;
+}
+
+std::size_t VicinityCache::frozen_count() const {
+  const Table* t = table_.load(std::memory_order_acquire);
+  return t == nullptr ? 0 : t->slots();
 }
 
 }  // namespace disco

@@ -2,14 +2,19 @@
 // learned by the bounded path-vector protocol. The fixed size — rather than
 // S4's unbounded clusters — is what enforces Disco's per-node state bound.
 //
-// The static simulator computes a vicinity with one truncated Dijkstra and
-// memoizes it: the evaluation touches vicinities of sampled sources and of
-// nodes along routes (shortcutting), with heavy reuse, so an LRU cache keyed
-// by node id backs every protocol object. The cache is thread-safe, so
-// parallel route sampling computes the vicinities of distinct sources
-// concurrently; Prewarm() bulk-computes a known working set up front.
+// The static simulator computes a vicinity with one truncated Dijkstra.
+// Converged vicinities never change, so VicinityCache serves them from a
+// frozen table: Prewarm() computes the vicinities of a known working set
+// (every node, for the serving benches) in parallel into one immutable
+// CSR-shaped table, and a lookup of a frozen node is a slot read with no
+// lock, no LRU bookkeeping and no reference count. Nodes outside the table
+// take the miss path, a bounded mutex LRU that computes on demand and is
+// counted in the metrics registry. The table has a resident-entry budget;
+// paper-scale maps (k ≈ 3.7k at n = 10^6) cannot freeze every node, and a
+// Prewarm that exceeds the budget is truncated with a warning.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -19,11 +24,35 @@
 
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "obs/metrics.h"
+#include "util/span.h"
 
 namespace disco {
 
+/// Registry metrics shared by every VicinityCache in the process. The
+/// gauges sum the frozen tables resident now; table hits bump nothing.
+struct VicinityCounters {
+  obs::Gauge& table_entries;
+  obs::Gauge& table_bytes;
+  obs::Counter& miss_computations;
+  obs::Counter& truncations;
+  VicinityCounters();
+};
+VicinityCounters& VicinityMetrics();
+
+/// One entry of a vicinity's membership index: a member node and its
+/// position in members(). The index is sorted by node.
+struct VicinityIndexEntry {
+  NodeId node;
+  std::uint32_t pos;
+};
+
 /// The converged vicinity of one node: its k closest nodes (including
 /// itself at distance 0) with distances and truncated-tree parents.
+///
+/// A Vicinity is a cheap-to-copy view. One built from a member list owns
+/// its storage (shared by its copies); one returned by VicinityCache for a
+/// frozen node views the cache's table and is valid while the cache lives.
 class Vicinity {
  public:
   Vicinity(NodeId owner, std::vector<NearNode> members);
@@ -31,11 +60,11 @@ class Vicinity {
   NodeId owner() const { return owner_; }
 
   /// Members in nondecreasing distance order (ties by id); first is owner.
-  const std::vector<NearNode>& members() const { return members_; }
+  Span<const NearNode> members() const { return members_; }
 
   std::size_t size() const { return members_.size(); }
 
-  bool Contains(NodeId v) const { return index_.count(v) > 0; }
+  bool Contains(NodeId v) const { return Find(v) != nullptr; }
 
   /// Distance to a member; kInfDist if v is not in the vicinity.
   Dist DistanceTo(NodeId v) const;
@@ -50,44 +79,122 @@ class Vicinity {
   std::vector<NodeId> PathTo(NodeId v) const;
 
  private:
+  friend class VicinityCache;
+
+  // A view over a frozen table's slices; `index` is the membership index
+  // of `members`.
+  Vicinity(NodeId owner, Span<const NearNode> members,
+           Span<const VicinityIndexEntry> index)
+      : owner_(owner), members_(members), index_(index) {}
+
+  const NearNode* Find(NodeId v) const;
+
   NodeId owner_;
-  std::vector<NearNode> members_;
-  std::unordered_map<NodeId, std::uint32_t> index_;  // node -> members_ idx
+  Span<const NearNode> members_;
+  Span<const VicinityIndexEntry> index_;
+  std::shared_ptr<const void> storage_;  // null for a view
 };
 
-/// LRU-memoized vicinity computation over a fixed graph.
-/// Get() returns shared ownership because callers routinely hold several
-/// vicinities at once (source + every node along a route) while the cache
-/// keeps evicting.
+/// What a vicinity lookup returns: a Vicinity held by value and
+/// dereferenced like a pointer (`vic->members()`, `*vic`).
+class VicinityRef {
+ public:
+  explicit VicinityRef(Vicinity vic) : vic_(std::move(vic)) {}
+
+  const Vicinity& operator*() const { return vic_; }
+  const Vicinity* operator->() const { return &vic_; }
+
+ private:
+  Vicinity vic_;
+};
+
+/// Vicinity lookups over a fixed graph: a frozen table for the prewarmed
+/// nodes, an LRU of `capacity` vicinities computed on demand for the rest.
 class VicinityCache {
  public:
-  /// `k` is the vicinity size; `capacity` the number of vicinities kept.
-  VicinityCache(const Graph& g, std::size_t k, std::size_t capacity = 4096);
+  /// Default resident-entry budget of the frozen table (members over all
+  /// frozen vicinities): 32M entries, 1 GiB at 32 bytes per entry.
+  static constexpr std::size_t kTableEntryBudget = std::size_t{32} << 20;
 
-  /// Safe to call concurrently; misses on distinct nodes run their
-  /// truncated Dijkstras in parallel.
-  std::shared_ptr<const Vicinity> Get(NodeId v);
+  /// `k` is the vicinity size; `capacity` the number of vicinities the
+  /// miss-path LRU keeps; `table_entries` the frozen table's budget.
+  VicinityCache(const Graph& g, std::size_t k, std::size_t capacity = 4096,
+                std::size_t table_entries = kTableEntryBudget);
+  ~VicinityCache();
+  VicinityCache(const VicinityCache&) = delete;
+  VicinityCache& operator=(const VicinityCache&) = delete;
 
-  /// Computes the vicinities of `nodes` in parallel over the runtime pool
-  /// (skipping ones already cached). A wall-clock optimization only:
-  /// vicinity contents are a deterministic function of the graph.
+  /// Safe to call concurrently. A frozen node is a lock-free table read;
+  /// misses on distinct nodes run their truncated Dijkstras in parallel.
+  VicinityRef Get(NodeId v) {
+    const Table* t = table_.load(std::memory_order_acquire);
+    if (t != nullptr && t->slot_of[v] != kNoSlot) {
+      return VicinityRef(t->At(v, t->slot_of[v]));
+    }
+    return GetMiss(v);
+  }
+
+  /// Freezes the vicinities of `nodes` (on top of any frozen earlier),
+  /// computed in parallel over the runtime pool. Nodes beyond the table
+  /// budget are dropped with one warning and stay on the miss path. A
+  /// wall-clock optimization only: vicinity contents are a deterministic
+  /// function of the graph. Safe to call concurrently with Get.
   void Prewarm(const std::vector<NodeId>& nodes);
 
   std::size_t k() const { return k_; }
+
+  /// Vicinities computed on the miss path (outside the frozen table).
   std::size_t computed_count() const;
 
+  /// Nodes whose vicinities are frozen.
+  std::size_t frozen_count() const;
+
  private:
-  std::shared_ptr<const Vicinity> Insert(
-      NodeId v, std::shared_ptr<const Vicinity> vic);
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  struct FreeDeleter {
+    void operator()(void* p) const;
+  };
+
+  // The frozen vicinities in CSR shape: slot s holds members and index
+  // entries [offsets[s], offsets[s + 1]). Immutable once published.
+  struct Table {
+    std::vector<std::uint32_t> slot_of;  // node -> slot, or kNoSlot
+    std::vector<std::uint64_t> offsets;  // slots + 1
+    std::unique_ptr<NearNode[], FreeDeleter> members;
+    std::unique_ptr<VicinityIndexEntry[], FreeDeleter> index;
+
+    std::size_t slots() const { return offsets.size() - 1; }
+    std::size_t entries() const { return offsets.back(); }
+    std::size_t bytes() const;
+    Vicinity At(NodeId v, std::uint32_t slot) const {
+      const std::uint64_t lo = offsets[slot];
+      const auto len = static_cast<std::size_t>(offsets[slot + 1] - lo);
+      return Vicinity(v, {members.get() + lo, len}, {index.get() + lo, len});
+    }
+  };
+
+  VicinityRef GetMiss(NodeId v);
+  std::unique_ptr<const Table> BuildTable(const Table* old,
+                                          const std::vector<NodeId>& fresh);
 
   const Graph& g_;
   std::size_t k_;
   std::size_t capacity_;
+  std::size_t table_entries_;
+
+  // Every table ever published stays alive with the cache, so views taken
+  // before a later Prewarm remain valid; the newest is the live one.
+  std::atomic<const Table*> table_{nullptr};
+  std::vector<std::unique_ptr<const Table>> tables_;
+  std::mutex prewarm_mu_;
+
+  // The miss path.
   mutable std::mutex mu_;
   std::size_t computed_ = 0;
   std::list<NodeId> lru_;  // front = most recent
   struct Entry {
-    std::shared_ptr<const Vicinity> vicinity;
+    Vicinity vicinity;
     std::list<NodeId>::iterator lru_pos;
   };
   std::unordered_map<NodeId, Entry> cache_;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "test_util.h"
@@ -141,18 +144,96 @@ TEST(WithinRadius, MatchesKNearestPrefix) {
   for (const auto& m : ball) EXPECT_LE(m.dist, radius);
 }
 
-TEST(RadiusSearcher, MatchesOneShot) {
+TEST(WithinRadius, ReusedBufferMatchesOneShot) {
   const Graph g = ConnectedGnm(200, 800, 41);
-  RadiusSearcher searcher(g);
   std::vector<NearNode> reused;
   for (NodeId v = 0; v < 20; ++v) {
-    searcher.Search(v, 2.0, reused);
+    WithinRadius(g, v, 2.0, &reused);
     const auto fresh = WithinRadius(g, v, 2.0);
     ASSERT_EQ(reused.size(), fresh.size()) << "source " << v;
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       ASSERT_EQ(reused[i].node, fresh[i].node);
       ASSERT_DOUBLE_EQ(reused[i].dist, fresh[i].dist);
     }
+  }
+}
+
+// Every node a full Dijkstra reaches, ordered by (dist, id), with its
+// Dijkstra distance and parent: the truth KNearest's pruned search and
+// WithinRadius must reproduce exactly.
+std::vector<NearNode> DijkstraOrder(const Graph& g, NodeId source) {
+  const ShortestPathTree full = Dijkstra(g, source);
+  std::vector<NearNode> all;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (full.reachable(v)) all.push_back({v, full.dist[v], full.parent[v]});
+  }
+  std::sort(all.begin(), all.end(), [](const NearNode& a, const NearNode& b) {
+    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
+  });
+  return all;
+}
+
+void ExpectSameNearNodes(const std::vector<NearNode>& got,
+                         const std::vector<NearNode>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].node, want[i].node) << what << " position " << i;
+    ASSERT_EQ(got[i].dist, want[i].dist) << what << " position " << i;
+    ASSERT_EQ(got[i].parent, want[i].parent) << what << " position " << i;
+  }
+}
+
+// KNearest(g, s, k) is the k-prefix of DijkstraOrder, and WithinRadius at
+// the k-th distance is the prefix of every node that close.
+void CheckTruncatedSearches(const Graph& g, NodeId source,
+                            const std::string& name) {
+  const std::vector<NearNode> order = DijkstraOrder(g, source);
+  const NodeId n = g.num_nodes();
+  const std::size_t sqrt_n_ln_n = static_cast<std::size_t>(std::ceil(
+      std::sqrt(static_cast<double>(n) * std::log(static_cast<double>(n)))));
+  for (const std::size_t k : {std::size_t{1}, std::size_t{7}, sqrt_n_ln_n,
+                              static_cast<std::size_t>(n) + 5}) {
+    const std::string what = name + " source " + std::to_string(source) +
+                             " k " + std::to_string(k);
+    const std::size_t take = std::min(k, order.size());
+    ExpectSameNearNodes(KNearest(g, source, k),
+                        {order.begin(), order.begin() + take}, what);
+    const Dist radius = order[take - 1].dist;
+    std::size_t in_ball = take;
+    while (in_ball < order.size() && order[in_ball].dist <= radius) ++in_ball;
+    ExpectSameNearNodes(WithinRadius(g, source, radius),
+                        {order.begin(), order.begin() + in_ball},
+                        what + " ball");
+  }
+}
+
+TEST(KNearest, EqualsDijkstraPrefixOnEveryTopology) {
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"gnm", ConnectedGnm(600, 2400, 3)},
+      {"geometric", ConnectedGeometric(500, 8.0, 4)},
+      {"barabasi-albert", BarabasiAlbert(600, 2, 5)},
+      {"grid", Grid(20, 25)},
+      {"cycle", Ring(300)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (const NodeId s : {NodeId{0}, g.num_nodes() / 3, g.num_nodes() - 1}) {
+      CheckTruncatedSearches(g, s, name);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(KNearest, ScratchIsCleanAcrossGraphsOfDifferentSize) {
+  // One thread alternates between a large and a small graph, so each
+  // search starts on scratch the other left behind (grown, then reused
+  // by a graph with fewer nodes).
+  const Graph small = ConnectedGeometric(60, 6.0, 8);
+  const Graph large = ConnectedGnm(900, 3600, 9);
+  for (NodeId i = 0; i < 12; ++i) {
+    CheckTruncatedSearches(small, i * 5 % small.num_nodes(), "small");
+    CheckTruncatedSearches(large, i * 75 % large.num_nodes(), "large");
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "api/registry.h"
+#include "api/routing_scheme.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
+#include "routing/params.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace disco {
 namespace {
@@ -115,6 +122,164 @@ TEST(Vicinity, AsymmetryIsPossible) {
   const auto leaf = cache.Get(25);
   EXPECT_TRUE(leaf->Contains(0));        // hub is every leaf's closest
   EXPECT_FALSE(hub->Contains(25));       // hub kept only 3 of 31 nodes
+}
+
+void ExpectSameVicinity(const Vicinity& got, const Vicinity& want) {
+  EXPECT_EQ(got.owner(), want.owner());
+  ASSERT_EQ(got.size(), want.size()) << "owner " << want.owner();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.members()[i].node, want.members()[i].node);
+    EXPECT_EQ(got.members()[i].dist, want.members()[i].dist);
+    EXPECT_EQ(got.members()[i].parent, want.members()[i].parent);
+  }
+  for (const NearNode& m : want.members()) {
+    EXPECT_TRUE(got.Contains(m.node));
+    EXPECT_EQ(got.DistanceTo(m.node), m.dist);
+    EXPECT_EQ(got.PathTo(m.node), want.PathTo(m.node));
+  }
+}
+
+std::vector<NodeId> Range(NodeId lo, NodeId hi) {
+  std::vector<NodeId> out;
+  for (NodeId v = lo; v < hi; ++v) out.push_back(v);
+  return out;
+}
+
+TEST(VicinityTable, EveryFrozenVicinityEqualsAFreshOne) {
+  const Graph g = ConnectedGeometric(400, 8.0, 7);
+  VicinityCache cache(g, 30);
+  cache.Prewarm(Range(0, g.num_nodes()));
+  ASSERT_EQ(cache.frozen_count(), g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    ExpectSameVicinity(*cache.Get(v), Vicinity(v, KNearest(g, v, 30)));
+    ASSERT_FALSE(HasFailure()) << "node " << v;
+  }
+  EXPECT_EQ(cache.computed_count(), 0u);
+}
+
+TEST(VicinityTable, ShortComponentsCompactTheTable) {
+  // Two components of 3 and 2 nodes with k = 4: every slot is short.
+  const std::vector<WeightedEdge> edges = {
+      {0, 1, 1.0}, {1, 2, 2.0}, {3, 4, 1.5}};
+  const Graph g = Graph::FromEdges(5, edges);
+  VicinityCache cache(g, 4);
+  cache.Prewarm({4, 0, 2, 3, 1});
+  for (NodeId v = 0; v < 5; ++v) {
+    ExpectSameVicinity(*cache.Get(v), Vicinity(v, KNearest(g, v, 4)));
+  }
+  EXPECT_EQ(cache.computed_count(), 0u);
+}
+
+TEST(VicinityTable, MissPathServesAndCountsNodesOutsideTheTable) {
+  const Graph g = ConnectedGnm(300, 1200, 11);
+  VicinityCache cache(g, 25);
+  cache.Prewarm(Range(0, 100));
+  const std::uint64_t before = VicinityMetrics().miss_computations.Value();
+  ExpectSameVicinity(*cache.Get(50), Vicinity(50, KNearest(g, 50, 25)));
+  EXPECT_EQ(VicinityMetrics().miss_computations.Value(), before);
+  ExpectSameVicinity(*cache.Get(250), Vicinity(250, KNearest(g, 250, 25)));
+  (void)cache.Get(250);  // an LRU hit: not computed again
+  EXPECT_EQ(VicinityMetrics().miss_computations.Value(), before + 1);
+  EXPECT_EQ(cache.computed_count(), 1u);
+}
+
+TEST(VicinityTable, LaterPrewarmExtendsTheTableAndKeepsOldViews) {
+  const Graph g = ConnectedGnm(300, 1200, 12);
+  VicinityCache cache(g, 25);
+  cache.Prewarm(Range(0, 100));
+  const VicinityRef early = cache.Get(10);
+  cache.Prewarm(Range(50, 200));
+  EXPECT_EQ(cache.frozen_count(), 200u);
+  ExpectSameVicinity(*early, Vicinity(10, KNearest(g, 10, 25)));
+  for (const NodeId v : {NodeId{0}, NodeId{99}, NodeId{100}, NodeId{199}}) {
+    ExpectSameVicinity(*cache.Get(v), Vicinity(v, KNearest(g, v, 25)));
+  }
+  cache.Prewarm(Range(0, 200));  // nothing new: no rebuild
+  EXPECT_EQ(cache.frozen_count(), 200u);
+  EXPECT_EQ(cache.computed_count(), 0u);
+}
+
+TEST(VicinityTable, ConcurrentLookupsMatchASequentialPass) {
+  const Graph g = ConnectedGnm(512, 2048, 13);
+  VicinityCache cache(g, 40, /*capacity=*/64);
+  cache.Prewarm(Range(0, 256));  // the other half takes the miss path
+  std::vector<std::vector<NodeId>> expected(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const NearNode& m : KNearest(g, v, 40)) expected[v].push_back(m.node);
+  }
+  std::vector<int> mismatches(8, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 400; ++i) {
+        const NodeId v = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
+        const VicinityRef vic = cache.Get(v);
+        std::vector<NodeId> got;
+        for (const NearNode& m : vic->members()) got.push_back(m.node);
+        if (got != expected[v] || !vic->Contains(expected[v].back())) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+TEST(VicinityTable, PrewarmBeyondTheBudgetIsTruncatedAndCounted) {
+  const Graph g = ConnectedGnm(200, 800, 14);
+  // Room for 10 vicinities of 20 members.
+  VicinityCache cache(g, 20, /*capacity=*/4096, /*table_entries=*/210);
+  const std::uint64_t before = VicinityMetrics().truncations.Value();
+  cache.Prewarm(Range(0, 50));
+  EXPECT_EQ(cache.frozen_count(), 10u);
+  EXPECT_EQ(VicinityMetrics().truncations.Value(), before + 1);
+  // The first 10 requested are frozen; the rest take the miss path.
+  (void)cache.Get(9);
+  EXPECT_EQ(cache.computed_count(), 0u);
+  ExpectSameVicinity(*cache.Get(10), Vicinity(10, KNearest(g, 10, 20)));
+  EXPECT_EQ(cache.computed_count(), 1u);
+  cache.Prewarm(Range(0, 10));  // fits: no new truncation
+  EXPECT_EQ(VicinityMetrics().truncations.Value(), before + 1);
+}
+
+TEST(VicinityTable, TableGaugesTrackResidentTables) {
+  const Graph g = ConnectedGnm(100, 400, 15);
+  const std::int64_t entries = VicinityMetrics().table_entries.Value();
+  const std::int64_t bytes = VicinityMetrics().table_bytes.Value();
+  const auto frozen_entries = static_cast<std::int64_t>(10 * g.num_nodes());
+  {
+    VicinityCache cache(g, 10);
+    cache.Prewarm(Range(0, g.num_nodes()));
+    EXPECT_EQ(VicinityMetrics().table_entries.Value(),
+              entries + frozen_entries);
+    EXPECT_GE(VicinityMetrics().table_bytes.Value(),
+              bytes + frozen_entries * static_cast<std::int64_t>(
+                                           sizeof(NearNode) +
+                                           sizeof(VicinityIndexEntry)));
+  }
+  EXPECT_EQ(VicinityMetrics().table_entries.Value(), entries);
+  EXPECT_EQ(VicinityMetrics().table_bytes.Value(), bytes);
+}
+
+TEST(VicinityTable, PrewarmedDiscoServesWithoutComputingVicinities) {
+  // The serving promise, counter-gated: once every node is prewarmed, no
+  // query computes a vicinity.
+  const Graph g = ConnectedGnm(2048, 8192, 16);
+  Params params;
+  params.seed = 16;
+  const auto scheme = api::MakeScheme("disco", g, params);
+  scheme->PrewarmFor(scheme->AllNodes());
+  const std::uint64_t before = VicinityMetrics().miss_computations.Value();
+  Rng rng(17);
+  for (int i = 0; i < 500; ++i) {
+    const NodeId s = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
+    const NodeId t = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
+    ASSERT_TRUE(scheme->RouteFirst(s, t).ok());
+    ASSERT_TRUE(scheme->RouteLater(s, t).ok());
+  }
+  EXPECT_EQ(VicinityMetrics().miss_computations.Value(), before);
 }
 
 }  // namespace
