@@ -12,10 +12,18 @@
 // After the handshake, packets take the NDDisco route: stretch ≤ 3.
 // If no group member sits in the vicinity (w.h.p. never), the landmark
 // resolution DB answers as a fallback.
+//
+// Routing runs NDDisco's shortcut kernel with Disco's longer first-packet
+// plan: the s ; w segment comes from V(s), the rest from the same
+// converged tables, all appended into per-thread scratch. A later packet
+// compares the NDDisco candidate (scratch frame 0) with the first-packet
+// one (frame 1) and copies out only the shorter, so every query allocates
+// just its returned path.
 #pragma once
 
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "core/name_resolution.h"
 #include "core/names.h"
@@ -66,9 +74,17 @@ class Disco {
   StateBreakdown State(NodeId v);
 
  private:
-  /// The forward plan (before shortcutting) for the first packet s -> t.
-  std::vector<NodeId> FirstPacketPlan(NodeId s, NodeId t, NodeId* contact,
-                                      bool* fallback);
+  /// Appends the forward plan (before shortcutting) for the first packet
+  /// s -> t and returns whether it is s's direct path; clears `out` if a
+  /// segment is unreachable. Reports the contact or the fallback through
+  /// the pointers that are non-null.
+  bool AppendFirstPacketPlan(NodeId s, NodeId t, std::vector<NodeId>* out,
+                             NodeId* contact, bool* fallback);
+
+  /// RouteFirst without the copy out, in `scratch`.
+  RouteCandidate RouteFirstInto(NodeId s, NodeId t, Shortcut mode,
+                                ShortcutScratch* scratch, NodeId* contact,
+                                bool* fallback);
 
   NameTable names_;
   NdDisco nd_;

@@ -1,7 +1,6 @@
 #include "core/nddisco.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "graph/shortest_path.h"
 
@@ -22,62 +21,87 @@ bool NdDisco::KnowsDirect(NodeId u, NodeId t) {
   return vicinities_.Get(u)->Contains(t);
 }
 
-std::vector<NodeId> NdDisco::DirectPath(NodeId u, NodeId t) {
-  if (u == t) return {u};
-  const auto vic = vicinities_.Get(u);
-  if (vic->Contains(t)) return vic->PathTo(t);
-  if (landmarks_.Contains(t)) {
-    // u's landmark table holds the shortest path to t; materialized from
-    // t's tree (t ; u reversed, same length in an undirected graph).
-    std::vector<NodeId> p = trees_.Tree(t)->PathTo(u);
-    std::reverse(p.begin(), p.end());
-    return p;
+bool NdDisco::AppendDirectPath(NodeId u, NodeId t,
+                               std::vector<NodeId>* out) {
+  if (u == t) {
+    out->push_back(u);
+    return true;
   }
-  return {};
+  const auto vic = vicinities_.Get(u);
+  if (const NearNode* m = vic->Find(t)) {
+    const std::size_t start = out->size();
+    vic->AppendPathToOwner(*m, out);
+    std::reverse(out->begin() + static_cast<std::ptrdiff_t>(start),
+                 out->end());
+    return true;
+  }
+  // u's landmark table holds the shortest path to t: u's parent chain in
+  // t's tree (the same length both ways in an undirected graph).
+  return landmarks_.Contains(t) && trees_.Tree(t)->AppendPathToSource(u, out);
+}
+
+std::vector<NodeId> NdDisco::DirectPath(NodeId u, NodeId t) {
+  std::vector<NodeId> path;
+  AppendDirectPath(u, t, &path);
+  return path;
+}
+
+bool NdDisco::AppendFirstPacketPlan(NodeId s, NodeId t,
+                                    std::vector<NodeId>* out) {
+  if (AppendDirectPath(s, t, out)) return true;
+  // Segment s ; l_t from s's landmark table, then l_t ; t, the explicit
+  // route of t's address: t's chain in the closest-landmark forest.
+  const NodeId lt = addresses_.closest_landmark(t);
+  if (lt == kInvalidNode || !trees_.Tree(lt)->AppendPathToSource(s, out)) {
+    out->clear();
+    return false;
+  }
+  out->pop_back();  // l_t starts the address route
+  const std::size_t start = out->size();
+  addresses_.forest().AppendPathToSource(t, out);
+  std::reverse(out->begin() + static_cast<std::ptrdiff_t>(start),
+               out->end());
+  return false;
 }
 
 std::vector<NodeId> NdDisco::FirstPacketPlan(NodeId s, NodeId t) {
-  std::vector<NodeId> direct = DirectPath(s, t);
-  if (!direct.empty()) return direct;
-
-  const Address addr = addresses_.AddressOf(t);
-  // Segment s ; l_t from s's landmark table.
-  std::vector<NodeId> to_landmark = trees_.Tree(addr.landmark)->PathTo(s);
-  std::reverse(to_landmark.begin(), to_landmark.end());
-  // Segment l_t ; t is the explicit route in t's address.
-  return JoinPaths(std::move(to_landmark), addr.route);
+  std::vector<NodeId> plan;
+  AppendFirstPacketPlan(s, t, &plan);
+  return plan;
 }
 
-Route NdDisco::FinishPlan(
-    std::vector<NodeId> plan,
-    const std::function<std::vector<NodeId>()>& reverse_plan,
-    Shortcut mode) {
-  Route r;
-  r.path = ApplyShortcutMode(mode, *g_, std::move(plan), reverse_plan,
-                             MakeDirectOracle(), MakeVicinityOracle());
-  r.length = PathLength(*g_, r.path);
-  return r;
+RouteCandidate NdDisco::RouteFirstInto(NodeId s, NodeId t, Shortcut mode,
+                                       ShortcutScratch* scratch) {
+  return ShortcutPlan(
+      mode, s, t,
+      [this](NodeId from, NodeId to, std::vector<NodeId>* out) {
+        return AppendFirstPacketPlan(from, to, out);
+      },
+      scratch);
 }
 
-Route NdDisco::RouteFirst(NodeId s, NodeId t, Shortcut mode) {
-  return FinishPlan(
-      FirstPacketPlan(s, t), [this, s, t] { return FirstPacketPlan(t, s); },
-      mode);
-}
-
-Route NdDisco::RouteLater(NodeId s, NodeId t, Shortcut mode) {
+RouteCandidate NdDisco::RouteLaterInto(NodeId s, NodeId t, Shortcut mode,
+                                       ShortcutScratch* scratch) {
   // Handshake (§4.2): t checked whether s ∈ V(t); if so it told s the
-  // direct path, which is simply the shortest path.
-  if (vicinities_.Get(t)->Contains(s)) {
-    Route r;
-    r.path = vicinities_.Get(t)->PathTo(s);
-    std::reverse(r.path.begin(), r.path.end());
-    r.length = PathLength(*g_, r.path);
-    return r;
+  // direct path, which is simply the shortest path: s's parent chain in
+  // V(t).
+  const auto vic = vicinities_.Get(t);
+  if (const NearNode* m = vic->Find(s)) {
+    scratch->forward.clear();
+    vic->AppendPathToOwner(*m, &scratch->forward);
+    return {&scratch->forward, PathLength(*g_, scratch->forward)};
   }
   // Otherwise later packets keep using the first-packet route (stretch ≤ 3
   // once both t ∉ V(s) and s ∉ V(t)).
-  return RouteFirst(s, t, mode);
+  return RouteFirstInto(s, t, mode, scratch);
+}
+
+Route NdDisco::RouteFirst(NodeId s, NodeId t, Shortcut mode) {
+  return RouteFirstInto(s, t, mode, &ThreadScratch(0)).ToRoute();
+}
+
+Route NdDisco::RouteLater(NodeId s, NodeId t, Shortcut mode) {
+  return RouteLaterInto(s, t, mode, &ThreadScratch(0)).ToRoute();
 }
 
 StateBreakdown NdDisco::State(NodeId v, const ResolutionDb* resolution) {
@@ -91,14 +115,6 @@ StateBreakdown NdDisco::State(NodeId v, const ResolutionDb* resolution) {
       g_->degree(v), b.landmark_entries + b.vicinity_entries);
   if (resolution != nullptr) b.resolution_entries = resolution->EntriesAt(v);
   return b;
-}
-
-DirectPathFn NdDisco::MakeDirectOracle() {
-  return [this](NodeId u, NodeId t) { return DirectPath(u, t); };
-}
-
-VicinityFn NdDisco::MakeVicinityOracle() {
-  return [this](NodeId u) { return vicinities_.Get(u); };
 }
 
 }  // namespace disco

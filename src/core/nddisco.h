@@ -14,6 +14,14 @@
 // heuristics of Fig. 6 applied on top. The DES in src/sim/ reproduces the
 // convergence messaging of the same protocol.
 //
+// Routes come out of the shortcut kernel (core/shortcut.h): plan segments
+// are appended into per-thread scratch straight from the parent chains of
+// the vicinity, the landmark tree and the closest-landmark forest, and
+// only the chosen path is copied into Route::path. A segment that cannot
+// reach its end (the endpoints lie in different components) empties its
+// plan, so such a query returns a failed Route rather than a path that is
+// not a walk from s to t.
+//
 // Converged tables never change, so serving reads them from frozen
 // tables: PrewarmVicinities() and PrewarmLandmarkTrees() build immutable
 // vicinity and landmark-tree tables that queries read with no lock. Nodes
@@ -22,6 +30,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/name_resolution.h"
 #include "core/route.h"
@@ -78,11 +87,22 @@ class NdDisco {
   /// or t ∈ V(u).
   bool KnowsDirect(NodeId u, NodeId t);
 
-  /// The shortest path u -> t if KnowsDirect(u, t); empty otherwise.
+  /// Appends the shortest path u .. t if u knows one directly (u == t,
+  /// t ∈ V(u), or a reachable landmark t); else appends nothing and
+  /// returns false.
+  bool AppendDirectPath(NodeId u, NodeId t, std::vector<NodeId>* out);
+
+  /// The shortest path u -> t if u knows one directly; empty otherwise.
   std::vector<NodeId> DirectPath(NodeId u, NodeId t);
 
-  /// The planned first-packet path (before shortcutting): direct if s knows
-  /// t, else s ; l_t ; t via t's address.
+  /// Appends the planned first-packet path s .. t (before shortcutting):
+  /// direct if s knows t, else s ; l_t ; t along l_t's tree and t's
+  /// address route. Returns whether the plan is s's direct path. If a
+  /// segment is unreachable, clears all of `out`: a plan that cannot reach
+  /// t is no plan.
+  bool AppendFirstPacketPlan(NodeId s, NodeId t, std::vector<NodeId>* out);
+
+  /// The first-packet plan as a fresh vector (empty if unreachable).
   std::vector<NodeId> FirstPacketPlan(NodeId s, NodeId t);
 
   /// Routes the first packet of a flow, s knowing t's address
@@ -95,22 +115,35 @@ class NdDisco {
   Route RouteLater(NodeId s, NodeId t,
                    Shortcut mode = Shortcut::kNoPathKnowledge);
 
+  /// RouteLater without the copy out: the chosen route as a candidate in
+  /// `scratch` (valid until its next use).
+  RouteCandidate RouteLaterInto(NodeId s, NodeId t, Shortcut mode,
+                                ShortcutScratch* scratch);
+
+  /// The shortcut kernel over this protocol's converged tables, for a
+  /// caller-supplied plan (Disco plans longer first-packet routes but
+  /// shortcuts through the same tables).
+  template <class Plan>
+  RouteCandidate ShortcutPlan(Shortcut mode, NodeId s, NodeId t, Plan&& plan,
+                              ShortcutScratch* scratch) {
+    return ShortcutRoute(
+        mode, *g_, s, t, plan,
+        [this](NodeId u, NodeId v, std::vector<NodeId>* out) {
+          return AppendDirectPath(u, v, out);
+        },
+        [this](NodeId u) { return vicinities_.Get(u); }, scratch);
+  }
+
   /// Data-plane state of node v (§4.5): landmark routes, vicinity routes,
   /// forwarding-label map, plus hosted resolution records when `resolution`
   /// is provided and v is a landmark.
   StateBreakdown State(NodeId v, const ResolutionDb* resolution = nullptr);
 
-  /// Shortcut oracles shared with Disco (which plans longer routes but
-  /// shortcuts through the same converged tables).
-  DirectPathFn MakeDirectOracle();
-  VicinityFn MakeVicinityOracle();
-
-  /// Finishes a plan: applies the shortcut mode and packages a Route.
-  Route FinishPlan(std::vector<NodeId> plan,
-                   const std::function<std::vector<NodeId>()>& reverse_plan,
-                   Shortcut mode);
-
  private:
+  /// RouteFirst without the copy out.
+  RouteCandidate RouteFirstInto(NodeId s, NodeId t, Shortcut mode,
+                                ShortcutScratch* scratch);
+
   const Graph* g_;
   Params params_;
   LandmarkSet landmarks_;

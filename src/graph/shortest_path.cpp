@@ -22,17 +22,31 @@ struct QueueItem {
 using MinQueue =
     std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>;
 
+// Appends v's parent chain up to its root: `root`, or the node whose
+// parent is kInvalidNode.
+bool AppendParentChain(const std::vector<Dist>& dist,
+                       const std::vector<NodeId>& parent, NodeId v,
+                       NodeId root, std::vector<NodeId>* out) {
+  if (dist[v] >= kInfDist) return false;
+  for (NodeId cur = v; cur != kInvalidNode; cur = parent[cur]) {
+    out->push_back(cur);
+    if (cur == root) break;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<NodeId> ShortestPathTree::PathTo(NodeId v) const {
-  if (!reachable(v)) return {};
   std::vector<NodeId> path;
-  for (NodeId cur = v; cur != kInvalidNode; cur = parent[cur]) {
-    path.push_back(cur);
-    if (cur == source) break;
-  }
+  AppendPathToSource(v, &path);
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+bool ShortestPathTree::AppendPathToSource(NodeId v,
+                                          std::vector<NodeId>* out) const {
+  return AppendParentChain(dist, parent, v, source, out);
 }
 
 ShortestPathTree Dijkstra(const Graph& g, NodeId source) {
@@ -191,13 +205,15 @@ void WithinRadius(const Graph& g, NodeId source, Dist radius,
 }
 
 std::vector<NodeId> MultiSourceTree::PathFromSource(NodeId v) const {
-  if (dist[v] >= kInfDist) return {};
   std::vector<NodeId> path;
-  for (NodeId cur = v; cur != kInvalidNode; cur = parent[cur]) {
-    path.push_back(cur);
-  }
+  AppendPathToSource(v, &path);
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+bool MultiSourceTree::AppendPathToSource(NodeId v,
+                                         std::vector<NodeId>* out) const {
+  return AppendParentChain(dist, parent, v, kInvalidNode, out);
 }
 
 MultiSourceTree MultiSourceDijkstra(const Graph& g,

@@ -22,6 +22,10 @@ struct ShortestPathTree {
 
   /// Path source -> v (inclusive of both endpoints). Empty if unreachable.
   std::vector<NodeId> PathTo(NodeId v) const;
+
+  /// Appends the path v -> source (v's parent chain, both ends included).
+  /// Returns false, appending nothing, if v is unreachable.
+  bool AppendPathToSource(NodeId v, std::vector<NodeId>* out) const;
 };
 
 ShortestPathTree Dijkstra(const Graph& g, NodeId source);
@@ -72,6 +76,10 @@ struct MultiSourceTree {
 
   /// Path from the closest source of v down to v (inclusive).
   std::vector<NodeId> PathFromSource(NodeId v) const;
+
+  /// Appends the path v -> closest source (v's parent chain, both ends
+  /// included). Returns false, appending nothing, if no source reaches v.
+  bool AppendPathToSource(NodeId v, std::vector<NodeId>* out) const;
 };
 
 MultiSourceTree MultiSourceDijkstra(const Graph& g,

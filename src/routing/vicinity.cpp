@@ -91,16 +91,20 @@ std::vector<NodeId> Vicinity::PathTo(NodeId v) const {
   const NearNode* m = Find(v);
   if (m == nullptr) return {};
   std::vector<NodeId> path;
-  // Parents point toward the owner and were settled earlier, so they are
-  // always members too.
-  while (true) {
-    path.push_back(m->node);
-    if (m->node == owner_) break;
-    m = Find(m->parent);
-    assert(m != nullptr);
-  }
+  AppendPathToOwner(*m, &path);
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+void Vicinity::AppendPathToOwner(const NearNode& m,
+                                 std::vector<NodeId>* out) const {
+  // Parents point toward the owner and were settled earlier, so they are
+  // always members too.
+  for (const NearNode* cur = &m;; cur = Find(cur->parent)) {
+    assert(cur != nullptr);
+    out->push_back(cur->node);
+    if (cur->node == owner_) break;
+  }
 }
 
 void VicinityCache::FreeDeleter::operator()(void* p) const { std::free(p); }

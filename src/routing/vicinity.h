@@ -66,6 +66,9 @@ class Vicinity {
 
   bool Contains(NodeId v) const { return Find(v) != nullptr; }
 
+  /// The member entry of v; nullptr if v is not in the vicinity.
+  const NearNode* Find(NodeId v) const;
+
   /// Distance to a member; kInfDist if v is not in the vicinity.
   Dist DistanceTo(NodeId v) const;
 
@@ -78,6 +81,10 @@ class Vicinity {
   /// Shortest path owner -> member (inclusive); empty if not a member.
   std::vector<NodeId> PathTo(NodeId v) const;
 
+  /// Appends the shortest path from member `m` back to the owner (m.node
+  /// first, owner last) by walking m's parent chain.
+  void AppendPathToOwner(const NearNode& m, std::vector<NodeId>* out) const;
+
  private:
   friend class VicinityCache;
 
@@ -86,8 +93,6 @@ class Vicinity {
   Vicinity(NodeId owner, Span<const NearNode> members,
            Span<const VicinityIndexEntry> index)
       : owner_(owner), members_(members), index_(index) {}
-
-  const NearNode* Find(NodeId v) const;
 
   NodeId owner_;
   Span<const NearNode> members_;

@@ -1,11 +1,13 @@
-// Live counters for the serve path, now registered in the unified
-// obs::MetricsRegistry (PR 10): cheap atomics the serving threads bump per
-// event, readable at any moment by an observer (the disco_serve --progress
-// reporter) without stopping the measurement, and exported through the
-// registry's Prometheus exposition / "[metrics]" dump alongside every
-// other subsystem. Nothing here participates in results — the
-// authoritative per-query numbers come from the per-thread histograms and
-// per-stream tallies — so mid-run reads are fine.
+// Live counters for the serve path, registered in the unified
+// obs::MetricsRegistry: atomics each serving thread adds a stream's
+// tallies to when it finishes that stream (never per query, so serving
+// threads do not share a cache line on the hot path), readable at any
+// moment by an observer (the disco_serve --progress reporter) without
+// stopping the measurement, and exported through the registry's
+// Prometheus exposition / "[metrics]" dump alongside every other
+// subsystem. Nothing here participates in results — the authoritative
+// per-query numbers come from the per-thread histograms and per-stream
+// tallies — so mid-run reads are fine.
 #pragma once
 
 #include "obs/metrics.h"
@@ -13,7 +15,7 @@
 namespace disco::serve {
 
 struct ServeCounters {
-  /// Queries completed (success or failure), monotone.
+  /// Queries completed (success or failure) in finished streams, monotone.
   obs::Counter& queries;
   /// Queries whose route failed (empty path, or a destination departed
   /// during a churn phase), monotone.
@@ -22,11 +24,6 @@ struct ServeCounters {
   obs::Gauge& active_workers;
 
   ServeCounters();
-
-  void RecordQuery(bool failed) {
-    queries.Inc();
-    if (failed) failures.Inc();
-  }
 
   void Reset() {
     queries.Set(0);

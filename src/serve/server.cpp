@@ -71,10 +71,12 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
           failure = !r.ok();
         }
         if (failure) ++failed;
-        live.RecordQuery(failure);
       }
       result.stream_served[s] = served;
       result.stream_failures[s] = failed;
+      // One shared-counter update per stream, not per query.
+      live.queries.Add(served);
+      live.failures.Add(failed);
     }
     live.active_workers.Dec();
   };

@@ -2,7 +2,7 @@
 // scheme's route function with the Workload's closed-loop query streams
 // from a fixed-size pool of serving threads, recording per-query latency
 // into lock-free per-thread histograms (merged after the loops join) and
-// bumping the live ServeCounters on every query.
+// adding each finished stream's tallies to the live ServeCounters.
 //
 // Thread assignment is stream-granular and static (stream s runs on
 // thread s % threads), so per-stream tallies are written race-free and the

@@ -25,32 +25,36 @@ TEST(ToDestination, CutsAtFirstKnowingNode) {
   const std::vector<WeightedEdge> edges = {
       {0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 4, 1.0}, {2, 4, 1.0}};
   const Graph g = Graph::FromEdges(5, edges);
-  const std::vector<NodeId> plan = {0, 1, 2, 3, 4};
-  auto direct = [&](NodeId u, NodeId t) -> std::vector<NodeId> {
-    if (u == 2 && t == 4) return {2, 4};
-    return {};
+  std::vector<NodeId> plan = {0, 1, 2, 3, 4};
+  auto direct = [&](NodeId u, NodeId t, std::vector<NodeId>* out) {
+    if (u != 2 || t != 4) return false;
+    out->insert(out->end(), {2, 4});
+    return true;
   };
-  EXPECT_EQ(ApplyToDestination(plan, direct),
-            (std::vector<NodeId>{0, 1, 2, 4}));
+  CutToDestination(&plan, 0, direct);
+  EXPECT_EQ(plan, (std::vector<NodeId>{0, 1, 2, 4}));
 }
 
 TEST(ToDestination, NoKnowledgeLeavesPlanIntact) {
   const std::vector<NodeId> plan = {0, 1, 2};
-  auto nothing = [](NodeId, NodeId) { return std::vector<NodeId>{}; };
-  EXPECT_EQ(ApplyToDestination(plan, nothing), plan);
+  auto nothing = [](NodeId, NodeId, std::vector<NodeId>*) { return false; };
+  std::vector<NodeId> cut = plan;
+  CutToDestination(&cut, 0, nothing);
+  EXPECT_EQ(cut, plan);
 }
 
 TEST(ToDestination, SourceKnowingWins) {
   const Graph g = PathGraph(4);
   const std::vector<NodeId> plan = {0, 1, 2, 3};
-  auto direct = [&](NodeId u, NodeId t) -> std::vector<NodeId> {
+  auto direct = [&](NodeId u, NodeId t, std::vector<NodeId>* out) {
     // Everyone "knows" the remaining plan suffix; the source must cut
     // first, yielding the same path (idempotence check).
-    std::vector<NodeId> out;
-    for (NodeId x = u; x <= t; ++x) out.push_back(x);
-    return out;
+    for (NodeId x = u; x <= t; ++x) out->push_back(x);
+    return true;
   };
-  EXPECT_EQ(ApplyToDestination(plan, direct), plan);
+  std::vector<NodeId> cut = plan;
+  CutToDestination(&cut, 0, direct);
+  EXPECT_EQ(cut, plan);
 }
 
 class NdShortcutFixture : public ::testing::Test {
@@ -71,8 +75,11 @@ TEST_F(NdShortcutFixture, UpDownStreamNeverLengthens) {
     for (NodeId t = 1; t < g_.num_nodes(); t += 71) {
       if (s == t) continue;
       const auto plan = nd_.FirstPacketPlan(s, t);
-      const auto spliced =
-          ApplyUpDownStream(g_, plan, nd_.MakeVicinityOracle());
+      std::vector<NodeId> spliced;
+      std::vector<Dist> cum;
+      SpliceUpDownStream(
+          g_, plan, [this](NodeId u) { return nd_.vicinity(u); }, &spliced,
+          &cum);
       ASSERT_FALSE(spliced.empty());
       EXPECT_EQ(spliced.front(), s);
       EXPECT_EQ(spliced.back(), t);
@@ -86,7 +93,11 @@ TEST_F(NdShortcutFixture, ToDestinationNeverLengthens) {
     for (NodeId t = 1; t < g_.num_nodes(); t += 71) {
       if (s == t) continue;
       const auto plan = nd_.FirstPacketPlan(s, t);
-      const auto cut = ApplyToDestination(plan, nd_.MakeDirectOracle());
+      std::vector<NodeId> cut = plan;
+      CutToDestination(&cut, 0,
+                       [this](NodeId u, NodeId v, std::vector<NodeId>* out) {
+                         return nd_.AppendDirectPath(u, v, out);
+                       });
       ASSERT_FALSE(cut.empty());
       EXPECT_EQ(cut.front(), s);
       EXPECT_EQ(cut.back(), t);
