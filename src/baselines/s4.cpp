@@ -64,7 +64,9 @@ std::vector<NodeId> S4::PlanVia(NodeId from, NodeId t) {
   // first node whose cluster contains t. l_t itself always qualifies
   // (d(l_t, t) = d(t, l_t) ≤ ClusterRadius(t)).
   const NodeId lt = addresses_.closest_landmark(t);
+  if (lt == kInvalidNode) return {};
   std::vector<NodeId> toward = trees_.Tree(lt)->PathTo(from);
+  if (toward.empty()) return {};  // t is in another component
   std::reverse(toward.begin(), toward.end());  // from ; l_t
   for (std::size_t i = 0; i < toward.size(); ++i) {
     if (!ball->Contains(toward[i])) continue;
@@ -82,7 +84,7 @@ std::vector<NodeId> S4::PlanVia(NodeId from, NodeId t) {
 Route S4::RouteLater(NodeId s, NodeId t) {
   Route r;
   r.path = PlanVia(s, t);
-  r.length = PathLength(*g_, r.path);
+  if (!r.path.empty()) r.length = PathLength(*g_, r.path);
   return r;
 }
 
@@ -95,10 +97,15 @@ Route S4::RouteFirst(NodeId s, NodeId t) {
   // which knows t's address and forwards (SEATTLE-style). This detour is
   // what gives S4 unbounded first-packet stretch.
   const NodeId owner = resolution_.OwnerLandmark(names_.hash(t));
+  // A segment is empty when its far end lies in another component, and
+  // then the query fails.
   std::vector<NodeId> to_owner = trees_.Tree(owner)->PathTo(s);
+  if (to_owner.empty()) return Route{};
+  std::vector<NodeId> from_owner = PlanVia(owner, t);
+  if (from_owner.empty()) return Route{};
   std::reverse(to_owner.begin(), to_owner.end());
   Route r;
-  r.path = JoinPaths(std::move(to_owner), PlanVia(owner, t));
+  r.path = JoinPaths(std::move(to_owner), from_owner);
   r.length = PathLength(*g_, r.path);
   return r;
 }

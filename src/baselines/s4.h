@@ -63,12 +63,14 @@ class S4 {
 
   /// Routes a packet when s already knows t's address (post-resolution):
   /// toward l_t, cutting to the direct path at the first node whose
-  /// cluster holds t. Stretch ≤ 3.
+  /// cluster holds t. Stretch ≤ 3. Fails (empty path, kInfDist) when t
+  /// is in another component.
   Route RouteLater(NodeId s, NodeId t);
 
   /// First packet of a flow: s only knows the flat name, so the packet
   /// detours via the resolution landmark owning h(t) (S4's location
   /// service), which forwards it with full knowledge of t's address.
+  /// Fails when t or that landmark is in another component than s.
   Route RouteFirst(NodeId s, NodeId t);
 
   /// Data-plane state: landmark routes + cluster entries + label map +

@@ -160,7 +160,7 @@ void TruncatedSearch(const Graph& g, NodeId source, std::size_t k,
     s.heap.pop_back();
     if (s.settled[v] || d > s.dist[v]) continue;
     s.settled[v] = 1;
-    out->push_back({v, d, s.parent[v]});
+    out->push_back({v, s.parent[v], d});
     if (d + w_min > bound) continue;
     for (const Neighbor& nb : g.neighbors(v)) {
       const Dist nd = d + nb.weight;

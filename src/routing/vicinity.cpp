@@ -1,8 +1,9 @@
 #include "routing/vicinity.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -18,24 +19,19 @@ struct OwnedStorage {
   std::vector<VicinityIndexEntry> index;
 };
 
-// Uninitialized storage for `count` objects of T: the table build writes
-// every entry from the pool's threads, so nothing is zero-filled first.
-template <typename T>
-T* AllocateUninitialized(std::size_t count) {
-  void* p = std::malloc(std::max<std::size_t>(count, 1) * sizeof(T));
-  if (p == nullptr) throw std::bad_alloc();
-  return static_cast<T*>(p);
-}
-
-// Writes the membership index of `members` to `index[0, size)`.
-void BuildIndex(Span<const NearNode> members, VicinityIndexEntry* index) {
-  for (std::uint32_t i = 0; i < members.size(); ++i) {
-    index[i] = {members[i].node, i};
-  }
-  std::sort(index, index + members.size(),
-            [](const VicinityIndexEntry& a, const VicinityIndexEntry& b) {
-              return a.node < b.node;
-            });
+// Storage for `count` elements of a table array, mapped directly; the
+// table build writes every element it reads. Not malloc: once glibc's
+// dynamic mmap threshold has risen past an array's size, malloc serves the
+// array from its heap, which keeps the pages after the table is freed, so
+// a process that builds one table per served graph peaked higher.
+template <typename Array>
+void MapArray(std::size_t count, Array* out) {
+  using T = typename Array::element_type;
+  const std::size_t bytes = std::max<std::size_t>(count, 1) * sizeof(T);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  *out = Array(static_cast<T*>(p), typename Array::deleter_type{bytes});
 }
 
 }  // namespace
@@ -47,7 +43,8 @@ VicinityCounters::VicinityCounters()
           "table_entries")),
       table_bytes(obs::Global().RegisterGauge(
           "disco_vicinity_table_bytes",
-          "Bytes of the frozen vicinity tables (members, index, offsets)",
+          "Bytes of the frozen vicinity tables (16-byte members, "
+          "open-addressed membership index, offsets, node-to-slot map)",
           "vicinity", "table_bytes")),
       miss_computations(obs::Global().RegisterCounter(
           "disco_vicinity_miss_computations_total",
@@ -67,19 +64,22 @@ Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members)
     : owner_(owner) {
   auto storage = std::make_shared<OwnedStorage>();
   storage->members = std::move(members);
-  storage->index.resize(storage->members.size());
-  BuildIndex(storage->members, storage->index.data());
+  storage->index.resize(IndexCap(storage->members.size()));
+  BuildIndex(storage->members, storage->index.data(), storage->index.size());
   members_ = storage->members;
   index_ = storage->index;
   storage_ = std::move(storage);
 }
 
-const NearNode* Vicinity::Find(NodeId v) const {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), v,
-      [](const VicinityIndexEntry& e, NodeId x) { return e.node < x; });
-  if (it == index_.end() || it->node != v) return nullptr;
-  return &members_[it->pos];
+void Vicinity::BuildIndex(Span<const NearNode> members,
+                          VicinityIndexEntry* index, std::size_t cap) {
+  std::fill(index, index + cap, VicinityIndexEntry{kInvalidNode, 0});
+  const std::size_t mask = cap - 1;
+  for (std::uint32_t i = 0; i < members.size(); ++i) {
+    std::size_t slot = HomeSlot(members[i].node, cap);
+    while (index[slot].node != kInvalidNode) slot = (slot + 1) & mask;
+    index[slot] = {members[i].node, i};
+  }
 }
 
 Dist Vicinity::DistanceTo(NodeId v) const {
@@ -107,10 +107,11 @@ void Vicinity::AppendPathToOwner(const NearNode& m,
   }
 }
 
-void VicinityCache::FreeDeleter::operator()(void* p) const { std::free(p); }
+void VicinityCache::Unmap::operator()(void* p) const { ::munmap(p, bytes); }
 
 std::size_t VicinityCache::Table::bytes() const {
-  return entries() * (sizeof(NearNode) + sizeof(VicinityIndexEntry)) +
+  return entries() * sizeof(NearNode) +
+         slots() * index_cap * sizeof(VicinityIndexEntry) +
          offsets.size() * sizeof(std::uint64_t) +
          slot_of.size() * sizeof(std::uint32_t);
 }
@@ -172,9 +173,20 @@ void VicinityCache::Prewarm(const std::vector<NodeId>& nodes) {
     }
   }
   std::vector<NodeId> fresh;
+  std::size_t outside = 0;
   for (const NodeId v : nodes) {
+    if (v >= g_.num_nodes()) {
+      ++outside;
+      continue;
+    }
     if (!wanted[v]) fresh.push_back(v);
     wanted[v] = 1;
+  }
+  if (outside > 0) {
+    obs::Log(obs::LogLevel::kWarn,
+             "vicinity prewarm skipped %zu node ids outside the graph's "
+             "%zu nodes",
+             outside, static_cast<std::size_t>(g_.num_nodes()));
   }
   const std::size_t frozen = old == nullptr ? 0 : old->slots();
   const std::size_t max_slots = table_entries_ / k_;
@@ -202,14 +214,18 @@ void VicinityCache::Prewarm(const std::vector<NodeId>& nodes) {
 std::unique_ptr<const VicinityCache::Table> VicinityCache::BuildTable(
     const Table* old, const std::vector<NodeId>& fresh) {
   // Slots keep the old table's vicinities (copied, in their old slots),
-  // then the fresh nodes. Every slot is first written at stride k, which
-  // no vicinity exceeds; the table is compacted afterwards only if a
-  // component smaller than k left some slot short.
+  // then the fresh nodes. Every slot's index has the same stride, cap;
+  // members are first written at stride k, which no vicinity exceeds, and
+  // compacted afterwards only if a component smaller than k left some slot
+  // short. A short vicinity's index keeps the full cap (it only lowers the
+  // load), so the index is never compacted.
   const std::size_t kept = old == nullptr ? 0 : old->slots();
   const std::size_t slots = kept + fresh.size();
+  const std::size_t cap = Vicinity::IndexCap(k_);
   auto t = std::make_unique<Table>();
-  t->members.reset(AllocateUninitialized<NearNode>(slots * k_));
-  t->index.reset(AllocateUninitialized<VicinityIndexEntry>(slots * k_));
+  t->index_cap = cap;
+  MapArray(slots * k_, &t->members);
+  MapArray(slots * cap, &t->index);
   std::vector<std::size_t> len(slots);
   runtime::ParallelFor(
       0, slots,
@@ -217,18 +233,18 @@ std::unique_ptr<const VicinityCache::Table> VicinityCache::BuildTable(
         std::vector<NearNode> buf;
         for (std::size_t s = lo; s < hi; ++s) {
           NearNode* members = t->members.get() + s * k_;
-          VicinityIndexEntry* index = t->index.get() + s * k_;
+          VicinityIndexEntry* index = t->index.get() + s * cap;
           if (s < kept) {
             const std::uint64_t a = old->offsets[s], b = old->offsets[s + 1];
             std::uninitialized_copy(old->members.get() + a,
                                     old->members.get() + b, members);
-            std::uninitialized_copy(old->index.get() + a,
-                                    old->index.get() + b, index);
+            std::uninitialized_copy(old->index.get() + s * cap,
+                                    old->index.get() + (s + 1) * cap, index);
             len[s] = static_cast<std::size_t>(b - a);
           } else {
             KNearest(g_, fresh[s - kept], k_, &buf);
             std::uninitialized_copy(buf.begin(), buf.end(), members);
-            BuildIndex({members, buf.size()}, index);
+            Vicinity::BuildIndex({members, buf.size()}, index, cap);
             len[s] = buf.size();
           }
         }
@@ -244,8 +260,6 @@ std::unique_ptr<const VicinityCache::Table> VicinityCache::BuildTable(
     for (std::size_t s = 1; s < slots; ++s) {
       std::memmove(t->members.get() + t->offsets[s],
                    t->members.get() + s * k_, len[s] * sizeof(NearNode));
-      std::memmove(t->index.get() + t->offsets[s], t->index.get() + s * k_,
-                   len[s] * sizeof(VicinityIndexEntry));
     }
   }
   if (old != nullptr) {

@@ -7,9 +7,12 @@
 // frozen table: Prewarm() computes the vicinities of a known working set
 // (every node, for the serving benches) in parallel into one immutable
 // CSR-shaped table, and a lookup of a frozen node is a slot read with no
-// lock, no LRU bookkeeping and no reference count. Nodes outside the table
-// take the miss path, a bounded mutex LRU that computes on demand and is
-// counted in the metrics registry. The table has a resident-entry budget;
+// lock, no LRU bookkeeping and no reference count. Membership ("is t in
+// V(u)?", asked at every node of every shortcut candidate and at every hop
+// of a path walk) is a hashed probe of an open-addressed index that every
+// vicinity carries, frozen or not. Nodes outside the table take the miss
+// path, a bounded mutex LRU that computes on demand and is counted in the
+// metrics registry. The table has a resident-entry budget;
 // paper-scale maps (k ≈ 3.7k at n = 10^6) cannot freeze every node, and a
 // Prewarm that exceeds the budget is truncated with a warning.
 #pragma once
@@ -40,8 +43,8 @@ struct VicinityCounters {
 };
 VicinityCounters& VicinityMetrics();
 
-/// One entry of a vicinity's membership index: a member node and its
-/// position in members(). The index is sorted by node.
+/// One slot of a vicinity's membership index: a member node and its
+/// position in members(), or node == kInvalidNode in an empty slot.
 struct VicinityIndexEntry {
   NodeId node;
   std::uint32_t pos;
@@ -57,6 +60,15 @@ class Vicinity {
  public:
   Vicinity(NodeId owner, std::vector<NearNode> members);
 
+  /// Slots in the membership index of a vicinity of up to k members: the
+  /// smallest power of two above 3k/2. The load stays below 2/3, and an
+  /// empty slot always ends a probe.
+  static std::size_t IndexCap(std::size_t k) {
+    std::size_t cap = 1;
+    while (cap < k + k / 2 + 1) cap <<= 1;
+    return cap;
+  }
+
   NodeId owner() const { return owner_; }
 
   /// Members in nondecreasing distance order (ties by id); first is owner.
@@ -66,8 +78,16 @@ class Vicinity {
 
   bool Contains(NodeId v) const { return Find(v) != nullptr; }
 
-  /// The member entry of v; nullptr if v is not in the vicinity.
-  const NearNode* Find(NodeId v) const;
+  /// The member entry of v; nullptr if v is not in the vicinity. Probes
+  /// linearly from v's home slot to v or to an empty slot.
+  const NearNode* Find(NodeId v) const {
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = HomeSlot(v, index_.size());; i = (i + 1) & mask) {
+      const VicinityIndexEntry e = index_[i];
+      if (e.node == kInvalidNode) return nullptr;
+      if (e.node == v) return &members_[e.pos];
+    }
+  }
 
   /// Distance to a member; kInfDist if v is not in the vicinity.
   Dist DistanceTo(NodeId v) const;
@@ -87,6 +107,18 @@ class Vicinity {
 
  private:
   friend class VicinityCache;
+
+  // Fibonacci hashing: the high bits of v * 2^32/φ (mod 2^32) pick one
+  // of `cap` slots.
+  static std::size_t HomeSlot(NodeId v, std::size_t cap) {
+    const std::uint64_t h = v * 0x9E3779B1u;
+    return static_cast<std::size_t>((h * cap) >> 32);
+  }
+
+  // Writes the membership index of `members` to `index[0, cap)`, where
+  // cap is a power of two above members.size().
+  static void BuildIndex(Span<const NearNode> members,
+                         VicinityIndexEntry* index, std::size_t cap);
 
   // A view over a frozen table's slices; `index` is the membership index
   // of `members`.
@@ -118,7 +150,8 @@ class VicinityRef {
 class VicinityCache {
  public:
   /// Default resident-entry budget of the frozen table (members over all
-  /// frozen vicinities): 32M entries, 1 GiB at 32 bytes per entry.
+  /// frozen vicinities): 32M entries, about 1 GiB at k = 272, where each
+  /// member takes 16 bytes and its share of the index about 15 more.
   static constexpr std::size_t kTableEntryBudget = std::size_t{32} << 20;
 
   /// `k` is the vicinity size; `capacity` the number of vicinities the
@@ -157,17 +190,21 @@ class VicinityCache {
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  struct FreeDeleter {
+  struct Unmap {
+    std::size_t bytes;  // of the mapping
     void operator()(void* p) const;
   };
 
-  // The frozen vicinities in CSR shape: slot s holds members and index
-  // entries [offsets[s], offsets[s + 1]). Immutable once published.
+  // The frozen vicinities in CSR shape: slot s holds members
+  // [offsets[s], offsets[s + 1]) and the index slots
+  // [s * index_cap, (s + 1) * index_cap), one index stride for every slot.
+  // Immutable once published.
   struct Table {
     std::vector<std::uint32_t> slot_of;  // node -> slot, or kNoSlot
     std::vector<std::uint64_t> offsets;  // slots + 1
-    std::unique_ptr<NearNode[], FreeDeleter> members;
-    std::unique_ptr<VicinityIndexEntry[], FreeDeleter> index;
+    std::unique_ptr<NearNode[], Unmap> members;
+    std::unique_ptr<VicinityIndexEntry[], Unmap> index;
+    std::size_t index_cap = 0;  // Vicinity::IndexCap(k)
 
     std::size_t slots() const { return offsets.size() - 1; }
     std::size_t entries() const { return offsets.back(); }
@@ -175,7 +212,8 @@ class VicinityCache {
     Vicinity At(NodeId v, std::uint32_t slot) const {
       const std::uint64_t lo = offsets[slot];
       const auto len = static_cast<std::size_t>(offsets[slot + 1] - lo);
-      return Vicinity(v, {members.get() + lo, len}, {index.get() + lo, len});
+      return Vicinity(v, {members.get() + lo, len},
+                      {index.get() + slot * index_cap, index_cap});
     }
   };
 

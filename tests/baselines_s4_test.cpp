@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "test_util.h"
@@ -83,6 +86,66 @@ TEST_P(S4StretchBound, LaterPacketsWithinStretch3) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, S4StretchBound,
                          ::testing::Values(1, 2, 3, 4));
+
+// Two disjoint 6-node paths, 0-1-...-5 and 6-7-...-11, and an edge 12-13.
+Graph TwoPathsAndAnEdge() {
+  std::vector<WeightedEdge> edges;
+  for (NodeId v = 0; v + 1 < 12; ++v) {
+    if (v != 5) edges.push_back({v, v + 1, 1.0});
+  }
+  edges.push_back({12, 13, 1.0});
+  return Graph::FromEdges(14, edges);
+}
+
+bool IsWalk(const Graph& g, const Route& r, NodeId s, NodeId t) {
+  return !r.path.empty() && r.path.front() == s && r.path.back() == t &&
+         r.length == PathLength(g, r.path) && r.length < kInfDist;
+}
+
+TEST(S4, CrossComponentQueriesFail) {
+  // An unreachable tree segment fails the route; it is not joined as if it
+  // were empty. Within a component, later packets always arrive; a first
+  // packet fails only when its resolution landmark is in another
+  // component.
+  const Graph g = TwoPathsAndAnEdge();
+  const auto side = [](NodeId v) { return v < 6 ? 0 : v < 12 ? 1 : 2; };
+  int landmark_free = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    S4 s4(g, WithSeed(seed));
+    landmark_free += s4.addresses().closest_landmark(12) == kInvalidNode;
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        const Route later = s4.RouteLater(s, t);
+        const Route first = s4.RouteFirst(s, t);
+        const std::string what = "seed " + std::to_string(seed) + " " +
+                                 std::to_string(s) + "->" +
+                                 std::to_string(t);
+        if (side(s) == side(t)) {
+          EXPECT_TRUE(IsWalk(g, later, s, t)) << what;
+          const NodeId owner =
+              s4.resolution().OwnerLandmark(s4.names().hash(t));
+          if (!first.ok()) {
+            EXPECT_NE(side(owner), side(s)) << what;
+            EXPECT_TRUE(first.path.empty()) << what;
+            EXPECT_EQ(first.length, kInfDist) << what;
+          } else {
+            EXPECT_TRUE(IsWalk(g, first, s, t)) << what;
+          }
+        } else {
+          for (const Route& r : {later, first}) {
+            EXPECT_FALSE(r.ok()) << what << " got a " << r.path.size()
+                                 << "-node path";
+            EXPECT_TRUE(r.path.empty()) << what;
+            EXPECT_EQ(r.length, kInfDist) << what;
+          }
+        }
+      }
+    }
+  }
+  // The edge's component holds no landmark for some seed, so its nodes
+  // have no closest landmark either.
+  EXPECT_GT(landmark_free, 0);
+}
 
 TEST(S4, FirstPacketStretchCanExplode) {
   // The resolution detour produces large first-packet stretch for nearby

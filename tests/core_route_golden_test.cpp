@@ -1,6 +1,6 @@
 // Route goldens: a SHA-256 over every route the query path returns, for
 // all six shortcut modes x {NdDisco, Disco} x {RouteFirst, RouteLater} on
-// three fixed-seed configurations. Any change to a path, a length's bits,
+// three fixed-seed configurations, and for S4's two phases on two of them. Any change to a path, a length's bits,
 // the contact or the fallback flag changes a digest, so a rewrite of the
 // query code that keeps these digests returns exactly the same routes.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/s4.h"
 #include "core/disco.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -283,6 +284,41 @@ TEST(RouteGolden, ResolutionFallbackGnm1024) {
        "6113c47f4296057588d24102842c2a4257c7795fca7dae646f85081307543b14"},
   });
   EXPECT_GT(fallbacks, 0);
+}
+
+// S4's RouteFirst and RouteLater digests on a connected graph.
+void CheckS4Goldens(const Graph& g, const Params& p, const char* first,
+                    const char* later) {
+  S4 s4(g, p);
+  s4.PrewarmLandmarkTrees();
+  const auto pairs = Pairs(g.num_nodes());
+  int fallbacks = 0;
+  EXPECT_EQ(Digest(pairs,
+                   [&](NodeId s, NodeId t) { return s4.RouteFirst(s, t); },
+                   &fallbacks),
+            first);
+  EXPECT_EQ(Digest(pairs,
+                   [&](NodeId s, NodeId t) { return s4.RouteLater(s, t); },
+                   &fallbacks),
+            later);
+}
+
+TEST(RouteGolden, S4ConnectedGnm1024) {
+  Params p;
+  p.seed = 5;
+  CheckS4Goldens(
+      ConnectedGnm(1024, 4096, 5), p,
+      "03095d63a0ec08d69d6661c1cecb0c2fb9ca7d7160c2581f805fc7ae1248d38f",
+      "7b0babfc16efd416b4809e105b72d67f223b67e59b951d03d0471e67577abfc7");
+}
+
+TEST(RouteGolden, S4WeightedConnectedGeometric512) {
+  Params p;
+  p.seed = 7;
+  CheckS4Goldens(
+      ConnectedGeometric(512, 8.0, 7), p,
+      "4eedc7ac650726189177ecfb8aa2a54989b5417e6f16d8ff4acc8c239e4cac35",
+      "22f990b68cc9959ee3aabc146b8b9b7866766786f26cbedce38b66c4b96e58f7");
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(RouteKernel, EmptyDirectionLosesToTheOther) {
     return false;
   };
   const auto no_vicinity = [](NodeId u) {
-    return VicinityRef(Vicinity(u, {{u, 0, kInvalidNode}}));
+    return VicinityRef(Vicinity(u, {{u, kInvalidNode, 0}}));
   };
   ShortcutScratch scratch;
   for (const Shortcut mode : kAllShortcuts) {

@@ -165,7 +165,7 @@ std::vector<NearNode> DijkstraOrder(const Graph& g, NodeId source) {
   const ShortestPathTree full = Dijkstra(g, source);
   std::vector<NearNode> all;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (full.reachable(v)) all.push_back({v, full.dist[v], full.parent[v]});
+    if (full.reachable(v)) all.push_back({v, full.parent[v], full.dist[v]});
   }
   std::sort(all.begin(), all.end(), [](const NearNode& a, const NearNode& b) {
     return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);

@@ -263,6 +263,85 @@ TEST(VicinityTable, TableGaugesTrackResidentTables) {
   EXPECT_EQ(VicinityMetrics().table_bytes.Value(), bytes);
 }
 
+TEST(VicinityTable, PrewarmSkipsIdsOutsideTheGraph) {
+  const Graph g = ConnectedGnm(64, 256, 18);
+  VicinityCache cache(g, 8);
+  const NodeId n = g.num_nodes();
+  cache.Prewarm({3, n, n + 1000, kInvalidNode, 1, 3});
+  EXPECT_EQ(cache.frozen_count(), 2u);
+  ExpectSameVicinity(*cache.Get(1), Vicinity(1, KNearest(g, 1, 8)));
+  ExpectSameVicinity(*cache.Get(3), Vicinity(3, KNearest(g, 3, 8)));
+  EXPECT_EQ(cache.computed_count(), 0u);
+  cache.Prewarm({n});  // nothing in range: no rebuild
+  EXPECT_EQ(cache.frozen_count(), 2u);
+}
+
+// The member entry of v by a linear scan of members(): the truth the
+// membership index must reproduce.
+const NearNode* LinearFind(const Vicinity& vic, NodeId v) {
+  for (const NearNode& m : vic.members()) {
+    if (m.node == v) return &m;
+  }
+  return nullptr;
+}
+
+std::vector<NodeId> LinearPathTo(const Vicinity& vic, NodeId v) {
+  std::vector<NodeId> path;
+  for (const NearNode* m = LinearFind(vic, v); m != nullptr;
+       m = LinearFind(vic, m->parent)) {
+    path.insert(path.begin(), m->node);
+    if (m->node == vic.owner()) break;
+  }
+  return path;
+}
+
+// Every node of g, and kInvalidNode, looked up in `vic` agrees with a
+// linear scan.
+void ExpectIndexMatchesLinearScan(const Graph& g, const Vicinity& vic) {
+  std::vector<NodeId> queries = Range(0, g.num_nodes());
+  queries.push_back(g.num_nodes());
+  queries.push_back(kInvalidNode);
+  for (const NodeId v : queries) {
+    const NearNode* want = LinearFind(vic, v);
+    ASSERT_EQ(vic.Find(v), want) << "owner " << vic.owner() << " node " << v;
+    EXPECT_EQ(vic.Contains(v), want != nullptr);
+    EXPECT_EQ(vic.DistanceTo(v), want == nullptr ? kInfDist : want->dist);
+    EXPECT_EQ(vic.PathTo(v), LinearPathTo(vic, v));
+  }
+}
+
+TEST(VicinityTable, MembershipIndexMatchesALinearScan) {
+  // A 300-node random connected component and a 40-node path: for k > 40
+  // the path's frozen vicinities are short and the table is compacted.
+  std::vector<WeightedEdge> edges;
+  Rng rng(19);
+  for (NodeId v = 1; v < 300; ++v) {
+    edges.push_back({static_cast<NodeId>(rng.NextBelow(v)), v,
+                     1.0 + static_cast<double>(rng.NextBelow(4))});
+  }
+  for (int i = 0; i < 600; ++i) {
+    const auto a = static_cast<NodeId>(rng.NextBelow(300));
+    const auto b = static_cast<NodeId>(rng.NextBelow(300));
+    if (a != b) edges.push_back({a, b, 1.0 + static_cast<double>(i % 3)});
+  }
+  for (NodeId v = 300; v + 1 < 340; ++v) edges.push_back({v, v + 1, 1.0});
+  const Graph g = Graph::FromEdges(340, edges);
+  for (const std::size_t k : {1, 2, 3, 63, 64, 65, 272}) {
+    VicinityCache cache(g, k);
+    cache.Prewarm(Range(0, g.num_nodes()));
+    for (NodeId v = 0; v < g.num_nodes(); v += (v < 300 ? 7 : 3)) {
+      const Vicinity owned(v, KNearest(g, v, k));
+      ExpectIndexMatchesLinearScan(g, owned);
+      ExpectIndexMatchesLinearScan(g, *cache.Get(v));
+      ExpectSameVicinity(*cache.Get(v), owned);
+      ASSERT_FALSE(HasFailure()) << "k " << k << " owner " << v;
+    }
+    EXPECT_EQ(cache.computed_count(), 0u);
+  }
+  EXPECT_EQ(Vicinity::IndexCap(84), 128u);
+  EXPECT_EQ(Vicinity::IndexCap(272), 512u);
+}
+
 TEST(VicinityTable, PrewarmedDiscoServesWithoutComputingVicinities) {
   // The serving promise, counter-gated: once every node is prewarmed, no
   // query computes a vicinity.
