@@ -1,8 +1,10 @@
 // Route goldens: a SHA-256 over every route the query path returns, for
 // all six shortcut modes x {NdDisco, Disco} x {RouteFirst, RouteLater} on
-// three fixed-seed configurations, and for S4's two phases on two of them. Any change to a path, a length's bits,
-// the contact or the fallback flag changes a digest, so a rewrite of the
-// query code that keeps these digests returns exactly the same routes.
+// three fixed-seed configurations, and for the two phases of S4, SPF and
+// VRR on two of them. Any change to a path, a length's bits, the contact
+// or the fallback flag changes a digest, so a rewrite of the query code or
+// of the shortest-path searches under it that keeps these digests returns
+// exactly the same routes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.h"
 #include "baselines/s4.h"
 #include "core/disco.h"
 #include "graph/generators.h"
@@ -319,6 +322,69 @@ TEST(RouteGolden, S4WeightedConnectedGeometric512) {
       ConnectedGeometric(512, 8.0, 7), p,
       "4eedc7ac650726189177ecfb8aa2a54989b5417e6f16d8ff4acc8c239e4cac35",
       "22f990b68cc9959ee3aabc146b8b9b7866766786f26cbedce38b66c4b96e58f7");
+}
+
+// A registered scheme's RouteFirst and RouteLater digests. SPF and VRR
+// route every packet the same way, so their two digests are equal. SPF
+// serves whole Dijkstra trees and VRR sets up its vset paths with
+// Dijkstra, so these also pin Dijkstra's parent tie-break.
+void CheckSchemeGoldens(const std::string& name, const Graph& g,
+                        const Params& p, const char* first,
+                        const char* later) {
+  const auto scheme = api::MakeScheme(name, g, p);
+  ASSERT_NE(scheme, nullptr) << name;
+  const auto pairs = Pairs(g.num_nodes());
+  int fallbacks = 0;
+  EXPECT_EQ(Digest(pairs,
+                   [&](NodeId s, NodeId t) {
+                     return scheme->RouteFirst(s, t);
+                   },
+                   &fallbacks),
+            first)
+      << name << " first";
+  EXPECT_EQ(Digest(pairs,
+                   [&](NodeId s, NodeId t) {
+                     return scheme->RouteLater(s, t);
+                   },
+                   &fallbacks),
+            later)
+      << name << " later";
+}
+
+TEST(RouteGolden, SpfConnectedGnm1024) {
+  Params p;
+  p.seed = 5;
+  CheckSchemeGoldens(
+      "spf", ConnectedGnm(1024, 4096, 5), p,
+      "88140bb89477beaa298724b02c6904897b90862f18c78c2e5a35ff1f0fdd1ec3",
+      "88140bb89477beaa298724b02c6904897b90862f18c78c2e5a35ff1f0fdd1ec3");
+}
+
+TEST(RouteGolden, SpfWeightedConnectedGeometric512) {
+  Params p;
+  p.seed = 7;
+  CheckSchemeGoldens(
+      "spf", ConnectedGeometric(512, 8.0, 7), p,
+      "bb4dddbdfb374fadfaa4b52c3233e00b7cb29f0641d0bf89358e271e0ffc3173",
+      "bb4dddbdfb374fadfaa4b52c3233e00b7cb29f0641d0bf89358e271e0ffc3173");
+}
+
+TEST(RouteGolden, VrrConnectedGnm1024) {
+  Params p;
+  p.seed = 5;
+  CheckSchemeGoldens(
+      "vrr", ConnectedGnm(1024, 4096, 5), p,
+      "74a40f72eb32de1ea95fec2e664a0b81155216251c0bd6f04a5f2952eaf0218a",
+      "74a40f72eb32de1ea95fec2e664a0b81155216251c0bd6f04a5f2952eaf0218a");
+}
+
+TEST(RouteGolden, VrrWeightedConnectedGeometric512) {
+  Params p;
+  p.seed = 7;
+  CheckSchemeGoldens(
+      "vrr", ConnectedGeometric(512, 8.0, 7), p,
+      "d85bf57dddd05bc9d7c2e2da864e675ad8401de25c499e4956aa81f0f9335614",
+      "d85bf57dddd05bc9d7c2e2da864e675ad8401de25c499e4956aa81f0f9335614");
 }
 
 }  // namespace

@@ -158,18 +158,66 @@ TEST(WithinRadius, ReusedBufferMatchesOneShot) {
   }
 }
 
-// Every node a full Dijkstra reaches, ordered by (dist, id), with its
-// Dijkstra distance and parent: the truth KNearest's pruned search and
-// WithinRadius must reproduce exactly.
-std::vector<NearNode> DijkstraOrder(const Graph& g, NodeId source) {
-  const ShortestPathTree full = Dijkstra(g, source);
-  std::vector<NearNode> all;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (full.reachable(v)) all.push_back({v, full.parent[v], full.dist[v]});
+// The reference every search below is checked against: an O(n^2)
+// Dijkstra that finds each next node by scanning the whole array for the
+// unsettled one with the smallest (dist, id), then relaxes its arcs in
+// adjacency order with the library's tie-breaks. It uses no heap, so a
+// fault in the library's queue cannot move the oracle along with the
+// code under test. A tie in distance keeps the smaller parent id
+// (Dijkstra), or with `by_closest` the smaller closest-source id
+// (MultiSourceDijkstra).
+struct NaiveSearch {
+  std::vector<Dist> dist;
+  std::vector<NodeId> parent;
+  std::vector<NodeId> closest;
+  std::vector<NodeId> order;  // settled nodes, in settling order
+};
+
+NaiveSearch NaiveDijkstra(const Graph& g, const std::vector<NodeId>& sources,
+                          bool by_closest) {
+  const NodeId n = g.num_nodes();
+  NaiveSearch r;
+  r.dist.assign(n, kInfDist);
+  r.parent.assign(n, kInvalidNode);
+  r.closest.assign(n, kInvalidNode);
+  for (const NodeId s : sources) {
+    r.dist[s] = 0;
+    r.closest[s] = s;
   }
-  std::sort(all.begin(), all.end(), [](const NearNode& a, const NearNode& b) {
-    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
-  });
+  std::vector<char> settled(n, 0);
+  for (;;) {
+    NodeId v = kInvalidNode;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!settled[u] && r.dist[u] < kInfDist &&
+          (v == kInvalidNode || r.dist[u] < r.dist[v])) {
+        v = u;
+      }
+    }
+    if (v == kInvalidNode) break;
+    settled[v] = 1;
+    r.order.push_back(v);
+    for (const Neighbor& nb : g.neighbors(v)) {
+      const Dist nd = r.dist[v] + nb.weight;
+      const NodeId to = nb.to;
+      const bool tie_wins = by_closest ? r.closest[v] < r.closest[to]
+                                       : v < r.parent[to];
+      if (nd < r.dist[to] || (nd == r.dist[to] && tie_wins)) {
+        r.dist[to] = nd;
+        r.parent[to] = v;
+        r.closest[to] = r.closest[v];
+      }
+    }
+  }
+  return r;
+}
+
+// Every node the oracle reaches from `source`, in (dist, id) settling
+// order, with its distance and parent: the truth KNearest's pruned search
+// and WithinRadius must reproduce exactly.
+std::vector<NearNode> NaiveOrder(const Graph& g, NodeId source) {
+  const NaiveSearch r = NaiveDijkstra(g, {source}, false);
+  std::vector<NearNode> all;
+  for (const NodeId v : r.order) all.push_back({v, r.parent[v], r.dist[v]});
   return all;
 }
 
@@ -184,11 +232,11 @@ void ExpectSameNearNodes(const std::vector<NearNode>& got,
   }
 }
 
-// KNearest(g, s, k) is the k-prefix of DijkstraOrder, and WithinRadius at
+// KNearest(g, s, k) is the k-prefix of NaiveOrder, and WithinRadius at
 // the k-th distance is the prefix of every node that close.
 void CheckTruncatedSearches(const Graph& g, NodeId source,
                             const std::string& name) {
-  const std::vector<NearNode> order = DijkstraOrder(g, source);
+  const std::vector<NearNode> order = NaiveOrder(g, source);
   const NodeId n = g.num_nodes();
   const std::size_t sqrt_n_ln_n = static_cast<std::size_t>(std::ceil(
       std::sqrt(static_cast<double>(n) * std::log(static_cast<double>(n)))));
@@ -208,15 +256,25 @@ void CheckTruncatedSearches(const Graph& g, NodeId source,
   }
 }
 
+// One graph of every generator family, weighted and unit, connected and
+// not (Gnm and RandomGeometric keep every component).
+std::vector<std::pair<std::string, Graph>> EveryFamily() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("gnm", ConnectedGnm(600, 2400, 3));
+  graphs.emplace_back("gnm-disconnected", Gnm(400, 500, 6));
+  graphs.emplace_back("geometric", ConnectedGeometric(500, 8.0, 4));
+  graphs.emplace_back("geometric-disconnected", RandomGeometric(400, 3.0, 7));
+  graphs.emplace_back("barabasi-albert", BarabasiAlbert(600, 2, 5));
+  graphs.emplace_back("as-level", AsLevelInternet(500, 8));
+  graphs.emplace_back("router-level", RouterLevelInternet(500, 9));
+  graphs.emplace_back("grid", Grid(20, 25));
+  graphs.emplace_back("cycle", Ring(300));
+  graphs.emplace_back("s4-worst-case-tree", S4WorstCaseTree(12));
+  return graphs;
+}
+
 TEST(KNearest, EqualsDijkstraPrefixOnEveryTopology) {
-  const std::vector<std::pair<std::string, Graph>> graphs = {
-      {"gnm", ConnectedGnm(600, 2400, 3)},
-      {"geometric", ConnectedGeometric(500, 8.0, 4)},
-      {"barabasi-albert", BarabasiAlbert(600, 2, 5)},
-      {"grid", Grid(20, 25)},
-      {"cycle", Ring(300)},
-  };
-  for (const auto& [name, g] : graphs) {
+  for (const auto& [name, g] : EveryFamily()) {
     for (const NodeId s : {NodeId{0}, g.num_nodes() / 3, g.num_nodes() - 1}) {
       CheckTruncatedSearches(g, s, name);
       if (HasFatalFailure()) return;
@@ -224,10 +282,132 @@ TEST(KNearest, EqualsDijkstraPrefixOnEveryTopology) {
   }
 }
 
+TEST(Dijkstra, EqualsNaiveOracleOnEveryTopology) {
+  for (const auto& [name, g] : EveryFamily()) {
+    for (const NodeId s : {NodeId{0}, g.num_nodes() / 2, g.num_nodes() - 1}) {
+      const ShortestPathTree t = Dijkstra(g, s);
+      const NaiveSearch want = NaiveDijkstra(g, {s}, false);
+      ASSERT_EQ(t.source, s);
+      ASSERT_EQ(t.dist, want.dist) << name << " source " << s;
+      ASSERT_EQ(t.parent, want.parent) << name << " source " << s;
+    }
+  }
+}
+
+TEST(MultiSource, EqualsNaiveOracleOnEveryTopology) {
+  for (const auto& [name, g] : EveryFamily()) {
+    const NodeId n = g.num_nodes();
+    // Unsorted, with a repeat, so neither seeding order nor duplicates
+    // may matter.
+    const std::vector<std::vector<NodeId>> source_sets = {
+        {n / 2}, {n - 1, 0, n / 3}, {n / 7, n / 5, n / 7, 2 * n / 3, 1}};
+    for (const auto& sources : source_sets) {
+      const MultiSourceTree t = MultiSourceDijkstra(g, sources);
+      const NaiveSearch want = NaiveDijkstra(g, sources, true);
+      const std::string what = name + " with " +
+                               std::to_string(sources.size()) + " sources";
+      ASSERT_EQ(t.dist, want.dist) << what;
+      ASSERT_EQ(t.parent, want.parent) << what;
+      ASSERT_EQ(t.closest, want.closest) << what;
+    }
+  }
+}
+
+std::vector<NodeId> NodesOf(const std::vector<NearNode>& members) {
+  std::vector<NodeId> nodes;
+  for (const NearNode& m : members) nodes.push_back(m.node);
+  return nodes;
+}
+
+// Node 2 is reached first at exactly the bound (3, straight from the
+// source) and only later at 2, through node 1. Nodes 3 and 4 stay at the
+// bound. A search that kept node 2 at the bound level would list it
+// twice or with the wrong distance.
+TEST(KNearest, BoundLevelNodeLaterShortened) {
+  const std::vector<WeightedEdge> edges = {
+      {0, 2, 3.0}, {0, 1, 1.0}, {0, 4, 3.0}, {1, 2, 1.0}, {1, 3, 2.0}};
+  const Graph g = Graph::FromEdges(5, edges);
+  const std::vector<NearNode> order = NaiveOrder(g, 0);
+  // k = 4 learns the bound 3 while node 2 is still queued at 3.
+  ExpectSameNearNodes(KNearest(g, 0, 4), {order.begin(), order.begin() + 4},
+                      "k 4");
+  EXPECT_EQ(NodesOf(KNearest(g, 0, 4)), (std::vector<NodeId>{0, 1, 2, 3}));
+  // A radius of 3 is known from the start, so node 2 starts at the bound.
+  ExpectSameNearNodes(WithinRadius(g, 0, 3.0), order, "radius 3");
+  EXPECT_EQ(NodesOf(WithinRadius(g, 0, 3.0)),
+            (std::vector<NodeId>{0, 1, 2, 3, 4}));
+}
+
+TEST(KNearest, CutsTieLevelInIdOrder) {
+  const Graph g = testing::StarGraph(10);  // center 0, leaves 1..10
+  EXPECT_EQ(NodesOf(KNearest(g, 0, 5)), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  // From leaf 7: the center, then the other leaves at 2 in id order.
+  EXPECT_EQ(NodesOf(KNearest(g, 7, 4)), (std::vector<NodeId>{7, 0, 1, 2}));
+  const auto near = KNearest(g, 7, 4);
+  EXPECT_EQ(near[3].parent, 0u);
+  EXPECT_EQ(near[3].dist, 2.0);
+}
+
+TEST(KNearest, KOneAndKBeyondComponent) {
+  const std::vector<WeightedEdge> edges = {
+      {0, 1, 1.0}, {1, 2, 1.0}, {3, 4, 1.0}};
+  const Graph g = Graph::FromEdges(5, edges);
+  const auto one = KNearest(g, 1, 1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].node, 1u);
+  EXPECT_EQ(one[0].parent, kInvalidNode);
+  EXPECT_EQ(one[0].dist, 0.0);
+  EXPECT_EQ(NodesOf(KNearest(g, 1, 100)), (std::vector<NodeId>{1, 0, 2}));
+  EXPECT_EQ(NodesOf(KNearest(g, 4, 3)), (std::vector<NodeId>{4, 3}));
+  EXPECT_TRUE(KNearest(g, 1, 0).empty());
+}
+
+TEST(WithinRadius, RadiusOnDistanceLevel) {
+  const Graph g = Grid(9, 9);
+  const NodeId center = 4 * 9 + 4;
+  const auto ball = WithinRadius(g, center, 2.0);
+  // The diamond of Manhattan radius 2: 1 + 4 + 8 nodes, the 8 at exactly
+  // the radius included.
+  ASSERT_EQ(ball.size(), 13u);
+  EXPECT_EQ(ball.back().dist, 2.0);
+  const std::vector<NearNode> order = NaiveOrder(g, center);
+  ExpectSameNearNodes(ball, {order.begin(), order.begin() + 13}, "grid");
+  EXPECT_EQ(NodesOf(WithinRadius(g, center, 0.0)),
+            (std::vector<NodeId>{center}));
+}
+
+// The bound level's members sit in different 64-bit words of the
+// per-thread bitmap, and are still emitted in id order.
+TEST(KNearest, BoundLevelIdsSpanSeveralBitmapWords) {
+  const NodeId n = 300;
+  const NodeId hub = 150;
+  std::vector<WeightedEdge> edges;
+  for (const NodeId leaf : {NodeId{299}, NodeId{3}, NodeId{200}, NodeId{64},
+                            NodeId{63}, NodeId{128}, NodeId{0}}) {
+    edges.push_back({hub, leaf, 1.0});
+  }
+  // A heavy path over the other nodes, cut at the hub.
+  for (NodeId v = 0; v + 1 < n; ++v) {
+    if (v != hub && v + 1 != hub) edges.push_back({v, v + 1, 5.0});
+  }
+  const Graph g = Graph::FromEdges(n, edges);
+  EXPECT_EQ(NodesOf(KNearest(g, hub, 4)),
+            (std::vector<NodeId>{hub, 0, 3, 63}));
+  EXPECT_EQ(NodesOf(WithinRadius(g, hub, 1.0)),
+            (std::vector<NodeId>{hub, 0, 3, 63, 64, 128, 200, 299}));
+  const std::vector<NearNode> order = NaiveOrder(g, hub);
+  for (const std::size_t k : {std::size_t{2}, std::size_t{5},
+                              std::size_t{8}, std::size_t{9}}) {
+    ExpectSameNearNodes(KNearest(g, hub, k), {order.begin(), order.begin() + k},
+                        "k " + std::to_string(k));
+  }
+}
+
 TEST(KNearest, ScratchIsCleanAcrossGraphsOfDifferentSize) {
   // One thread alternates between a large and a small graph, so each
-  // search starts on scratch the other left behind (grown, then reused
-  // by a graph with fewer nodes).
+  // search starts on scratch the other left behind: the first large
+  // search grows the arrays and the bound-level bitmap from one word to
+  // fifteen, and every later search reuses them.
   const Graph small = ConnectedGeometric(60, 6.0, 8);
   const Graph large = ConnectedGnm(900, 3600, 9);
   for (NodeId i = 0; i < 12; ++i) {
