@@ -53,7 +53,6 @@ TaskScheduler::TaskScheduler(std::size_t count, int max_retries,
 
 std::size_t TaskScheduler::AddSlot() {
   slots_.push_back(Slot{});
-  ++live_slots_;
   return slots_.size() - 1;
 }
 
@@ -62,7 +61,6 @@ void TaskScheduler::ReviveSlot(std::size_t slot) {
   if (s.alive) return;
   s.alive = true;
   s.task = kNoTask;
-  ++live_slots_;
 }
 
 std::size_t TaskScheduler::NextTask(std::size_t slot,
@@ -189,7 +187,6 @@ bool TaskScheduler::OnSlotDeath(std::size_t slot, const std::string& why) {
   Slot& s = slots_[slot];
   if (!s.alive) return true;
   s.alive = false;
-  --live_slots_;
   Metrics().slot_deaths.Inc();
   obs::Log(obs::LogLevel::kInfo, "[exec] slot %zu died: %s", slot,
            why.c_str());

@@ -48,11 +48,10 @@ class TaskScheduler {
   /// Registers a worker slot (initially alive and idle); returns its id.
   std::size_t AddSlot();
 
-  /// Slot accessors. A dead slot holds no task and is skipped by the
-  /// straggler scan until ReviveSlot (a transport reconnect) restores it.
-  bool slot_alive(std::size_t slot) const { return slots_[slot].alive; }
+  /// The task in flight on `slot`, or kNoTask. A dead slot holds no task
+  /// and is skipped by the straggler scan until ReviveSlot (a transport
+  /// reconnect) restores it.
   std::size_t task_of(std::size_t slot) const { return slots_[slot].task; }
-  std::size_t live_slots() const { return live_slots_; }
 
   /// Re-arms a slot whose transport reconnected. The slot must be dead;
   /// its previous in-flight task was already requeued by OnSlotDeath.
@@ -128,7 +127,6 @@ class TaskScheduler {
   std::vector<Slot> slots_;
   std::deque<std::size_t> pending_;
   std::size_t done_count_ = 0;
-  std::size_t live_slots_ = 0;
 
   std::string error_;
   std::size_t failed_task_ = 0;

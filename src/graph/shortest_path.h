@@ -1,6 +1,11 @@
 // Shortest-path machinery: full Dijkstra (landmark trees), truncated
 // k-nearest Dijkstra (vicinities, §4.2), and multi-source Dijkstra (the
 // closest-landmark forest that yields every node's address in one pass).
+//
+// All of them run on one 4-ary min-heap whose keys pack (dist, node id)
+// into one unsigned 128-bit integer, so every search settles nodes in the
+// same (dist, id) total order and its outputs do not depend on the heap.
+// Edge weights must be positive.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +52,10 @@ static_assert(sizeof(NearNode) == 16, "NearNode must pack to 16 bytes");
 /// must agree on the boundary, and tests rely on it. The result (node,
 /// dist and parent) equals the (dist, id)-ordered prefix of a full
 /// Dijkstra; the search only skips relaxations that provably cannot reach
-/// that prefix, and costs O(nodes touched), not O(n), per call.
+/// that prefix, and costs O(nodes touched), not O(n), per call, plus one
+/// word read per 64 ids that the k-th distance level spans. That level is
+/// taken in id order from a per-thread bitmap once every closer node has
+/// settled, not popped node by node from the heap.
 std::vector<NearNode> KNearest(const Graph& g, NodeId source, std::size_t k);
 
 /// The same search into a caller's buffer: `out` is cleared and refilled,
@@ -58,7 +66,8 @@ void KNearest(const Graph& g, NodeId source, std::size_t k,
 /// Every node within distance `radius` (inclusive) of `source`, in
 /// nondecreasing distance order with ties broken by id — the "ball" used
 /// for S4 cluster computations (C(v) membership is a radius test). Costs
-/// O(ball) per call, like KNearest.
+/// O(ball) per call, like KNearest, which it shares its search with (nodes
+/// at exactly `radius` come from the bitmap).
 std::vector<NearNode> WithinRadius(const Graph& g, NodeId source,
                                    Dist radius);
 
